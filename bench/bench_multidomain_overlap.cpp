@@ -1,22 +1,25 @@
-// Real (host-measured) communication/computation overlap in the
-// concurrent multi-domain executor, next to the step model's prediction.
+// Real (host-measured) communication/computation overlap of the
+// multi-domain runner, against a fair baseline, next to the step model's
+// prediction.
 //
 // For each decomposition the same mountain-wave + warm-rain case runs
-// through MultiDomainRunner in its three execution modes:
+// twice at the same total thread count:
 //
-//   none      — lockstep reference: ranks advance serially inside one
-//               shared thread pool, halos are bulk-copied at barriers;
-//   split     — per-rank worker threads, async double-buffered halo
-//               channels, halo-consuming kernels divided into boundary
-//               frame + interior (paper method 2);
-//   pipeline  — additionally defers tracer halo receives behind the
-//               next tracer's advection (method 1) and fuses the
-//               density / potential-temperature updates (method 3).
+//   single    — the single-domain TimeStepper, every kernel a j-slab
+//               parallel_for over the whole machine (the production
+//               single-domain path, bitwise equal to the runner);
+//   split     — MultiDomainRunner: per-rank worker threads, async
+//               double-buffered halo channels, halo-consuming kernels
+//               divided into boundary frame + interior (paper method 2)
+//               and fused density/theta updates (method 3).
 //
-// All three produce bitwise-identical states (tests/test_multidomain_
-// overlap.cpp); this bench measures what the reordering buys in wall
-// time and compares the gain against the StepModel prediction for the
-// same decomposition. Results go to BENCH_multidomain_overlap.json.
+// The two are timed in interleaved repetitions (the order alternates
+// each repetition, so drift and warm caches favor neither) and each
+// reports the median s/step with its quartiles. The StepModel columns
+// model the paper's GPU cluster for the same rank topology with no
+// overlap, methods 2+3, and methods 1+2+3 — method 1 (inter-variable
+// pipelining) lives only in the model, which Figs. 9-11 reproduce.
+// Results go to BENCH_multidomain_overlap.json.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -60,112 +63,65 @@ TimeStepperConfig make_stepper_cfg() {
     return cfg;
 }
 
-const char* mode_name(OverlapMode m) {
-    switch (m) {
-        case OverlapMode::None: return "none";
-        case OverlapMode::Split: return "split";
-        case OverlapMode::SplitPipeline: return "split+pipeline";
-    }
-    return "unknown";
-}
-
-struct ModeResult {
-    OverlapMode mode = OverlapMode::None;
-    std::size_t threads_per_rank = 0;
-    double seconds_per_step = 0;
-    double modeled_s = 0;  ///< StepModel long-step prediction (GPU cluster)
+/// Median and quartiles (linear interpolation between order statistics).
+struct Spread {
+    double median = 0, q1 = 0, q3 = 0;
 };
 
-/// Measure every runner mode on one decomposition with the same total
-/// thread count: the lockstep reference gets the threads as one shared
-/// pool (its best configuration — every kernel's parallel_for spans
-/// the machine), the concurrent modes split them into rank workers
-/// with total/ranks threads inside each rank. The modes are timed in
-/// interleaved repetitions and each reports its best window, so a slow
-/// patch of background load on a shared host cannot penalize one mode
-/// wholesale.
-std::vector<ModeResult> run_modes(const GridSpec& spec,
-                                  const State<double>& initial, Index px,
-                                  Index py, std::size_t total_threads,
-                                  int steps, int reps) {
-    const auto species = SpeciesSet::warm_rain();
-    const auto cfg = make_stepper_cfg();
-    const std::size_t ranks = static_cast<std::size_t>(px * py);
-    const std::size_t per_rank =
-        std::max<std::size_t>(1, total_threads / ranks);
-    const OverlapMode modes[] = {OverlapMode::None, OverlapMode::Split,
-                                 OverlapMode::SplitPipeline};
-
-    std::vector<std::unique_ptr<MultiDomainRunner<double>>> runners;
-    std::vector<ModeResult> results;
-    for (auto mode : modes) {
-        MultiDomainConfig md;
-        md.overlap = mode;
-        md.threads_per_rank = per_rank;
-        runners.push_back(std::make_unique<MultiDomainRunner<double>>(
-            spec, px, py, species, cfg, md));
-        runners.back()->scatter(initial);
-        ModeResult r;
-        r.mode = mode;
-        r.threads_per_rank =
-            mode == OverlapMode::None ? total_threads : per_rank;
-        r.seconds_per_step = 0;
-        results.push_back(r);
-    }
-
-    for (int rep = 0; rep < reps; ++rep) {
-        for (std::size_t m = 0; m < results.size(); ++m) {
-            // Rank workers carry the concurrent modes' parallelism; the
-            // global pool must not oversubscribe the machine underneath
-            // them.
-            ThreadPool::set_global_threads(
-                modes[m] == OverlapMode::None ? total_threads : 1);
-            if (rep == 0) runners[m]->step();  // warm-up: cold memory
-            Timer t;
-            t.start();
-            for (int n = 0; n < steps; ++n) runners[m]->step();
-            t.stop();
-            const double s = t.seconds() / steps;
-            auto& best = results[m].seconds_per_step;
-            if (best == 0 || s < best) best = s;
-        }
-    }
-    return results;
+Spread spread_of(std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const auto at = [&](double q) {
+        const double pos = q * static_cast<double>(v.size() - 1);
+        const auto lo = static_cast<std::size_t>(pos);
+        const std::size_t hi = std::min(lo + 1, v.size() - 1);
+        return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+    };
+    return {at(0.5), at(0.25), at(0.75)};
 }
 
-/// StepModel prediction for the same rank topology with the matching
-/// subset of the paper's three overlap methods enabled. The model keeps
-/// its production per-GPU mesh (the bench's size-reduced subdomains
-/// would be latency-bound on a GPU, where kernel division always
-/// loses): the prediction is about the topology, not the toy size.
-double modeled_step_seconds(Index px, Index py, OverlapMode mode) {
+io::JsonValue spread_json(const Spread& s) {
+    io::JsonValue j;
+    j.set("median", s.median);
+    j.set("q1", s.q1);
+    j.set("q3", s.q3);
+    return j;
+}
+
+/// StepModel prediction for the same rank topology with a subset of the
+/// paper's three overlap methods enabled. The model keeps its production
+/// per-GPU mesh (the bench's size-reduced subdomains would be
+/// latency-bound on a GPU, where kernel division always loses): the
+/// prediction is about the topology, not the toy size.
+double modeled_step_seconds(Index px, Index py, bool m1, bool m23) {
     StepModelConfig cfg;
     cfg.decomp.px = px;
     cfg.decomp.py = py;
-    cfg.overlap = mode != OverlapMode::None;            // method 2
-    cfg.overlap_tracers = mode == OverlapMode::SplitPipeline;  // method 1
-    cfg.fuse_density_theta = mode != OverlapMode::None;        // method 3
+    cfg.overlap_tracers = m1;
+    cfg.overlap = m23;
+    cfg.fuse_density_theta = m23;
     return StepModel(calibration(), cfg).run().total_s;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    title("Multi-domain overlap — lockstep vs concurrent executor");
+    title("Multi-domain overlap — split runner vs single domain");
 
     Int3 mesh{64, 48, 32};
     int steps = 2;
-    int reps = 3;
+    int reps = 7;
     if (argc > 3) {
         mesh = {std::atoll(argv[1]), std::atoll(argv[2]),
                 std::atoll(argv[3])};
     }
     if (argc > 4) steps = std::atoi(argv[4]);
     if (argc > 5) reps = std::atoi(argv[5]);
+    ASUCA_REQUIRE(steps >= 1 && reps >= 1, "need steps >= 1 and reps >= 1");
 
     const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
     const auto spec = make_global(mesh);
     const auto species = SpeciesSet::warm_rain();
+    const auto cfg = make_stepper_cfg();
 
     Grid<double> grid(spec);
     State<double> initial(grid, species);
@@ -174,7 +130,7 @@ int main(int argc, char** argv) {
     set_relative_humidity(
         grid, [](double z) { return z < 2000.0 ? 0.8 : 0.3; }, initial);
 
-    std::printf("  mesh %lldx%lldx%lld, best of %d reps x %d steps, "
+    std::printf("  mesh %lldx%lldx%lld, %d interleaved reps x %d steps, "
                 "%zu host thread%s\n",
                 static_cast<long long>(mesh.x),
                 static_cast<long long>(mesh.y),
@@ -194,53 +150,110 @@ int main(int argc, char** argv) {
                                  }),
                   decomps.end());
 
-    struct DecompResult {
-        Decomp d;
-        Int3 local;
-        std::size_t threads_total = 0;
-        std::vector<ModeResult> runs;
-    };
-    std::vector<DecompResult> all;
-
+    io::JsonArray rows;
     for (const auto& d : decomps) {
-        DecompResult dr;
-        dr.d = d;
-        dr.local = {mesh.x / d.px, mesh.y / d.py, mesh.z};
+        const Index ranks = d.px * d.py;
         // One thread per rank minimum, the whole machine when it has
-        // more cores than ranks — identical totals for every mode.
-        const std::size_t total =
-            std::max<std::size_t>(hw, static_cast<std::size_t>(d.px * d.py));
-        dr.threads_total = total;
+        // more cores than ranks; the single domain gets the same total.
+        const std::size_t per_rank = std::max<std::size_t>(
+            1, hw / static_cast<std::size_t>(ranks));
+        const std::size_t total = per_rank * static_cast<std::size_t>(ranks);
+
+        TimeStepper<double> stepper(grid, species, cfg);
+        State<double> single = initial;
+        MultiDomainConfig md;
+        md.threads_per_rank = per_rank;
+        MultiDomainRunner<double> runner(spec, d.px, d.py, species, cfg, md);
+        runner.scatter(initial);
+
+        // Each side's first step touches cold memory: run it untimed.
+        const auto time_single = [&](int n) {
+            ThreadPool::set_global_threads(total);
+            Timer t;
+            t.start();
+            for (int s = 0; s < n; ++s) stepper.step(single);
+            t.stop();
+            return t.seconds() / n;
+        };
+        const auto time_split = [&](int n) {
+            // Rank workers carry the runner's parallelism; the global
+            // pool must not hold idle threads underneath them.
+            ThreadPool::set_global_threads(1);
+            Timer t;
+            t.start();
+            for (int s = 0; s < n; ++s) runner.step();
+            t.stop();
+            return t.seconds() / n;
+        };
+        time_single(1);
+        time_split(1);
+        std::vector<double> s_single, s_split;
+        for (int rep = 0; rep < reps; ++rep) {
+            if (rep % 2 == 0) {
+                s_single.push_back(time_single(steps));
+                s_split.push_back(time_split(steps));
+            } else {
+                s_split.push_back(time_split(steps));
+                s_single.push_back(time_single(steps));
+            }
+        }
+        ThreadPool::set_global_threads(0);  // restore the default pool
+        const Spread single_s = spread_of(s_single);
+        const Spread split_s = spread_of(s_split);
+
+        const double m_none = modeled_step_seconds(d.px, d.py, false, false);
+        const double m_23 = modeled_step_seconds(d.px, d.py, false, true);
+        const double m_123 = modeled_step_seconds(d.px, d.py, true, true);
+
         std::printf("\n  %lldx%lld ranks (local %lldx%lldx%lld), "
                     "%zu threads total\n",
                     static_cast<long long>(d.px),
                     static_cast<long long>(d.py),
-                    static_cast<long long>(dr.local.x),
-                    static_cast<long long>(dr.local.y),
-                    static_cast<long long>(dr.local.z), total);
-        std::printf("  %-16s %9s %14s %9s %12s %9s\n", "mode", "thr/rank",
-                    "s/step", "gain", "model [ms]", "gain");
-        dr.runs = run_modes(spec, initial, d.px, d.py, total, steps, reps);
-        for (auto& r : dr.runs) {
-            r.modeled_s = modeled_step_seconds(d.px, d.py, r.mode);
-        }
-        const double base = dr.runs.front().seconds_per_step;
-        const double model_base = dr.runs.front().modeled_s;
-        for (const auto& r : dr.runs) {
-            std::printf("  %-16s %9zu %14.4f %8.1f%% %12.2f %8.1f%%\n",
-                        mode_name(r.mode), r.threads_per_rank,
-                        r.seconds_per_step,
-                        100.0 * (base - r.seconds_per_step) / base,
-                        1e3 * r.modeled_s,
-                        100.0 * (model_base - r.modeled_s) / model_base);
-        }
-        all.push_back(std::move(dr));
-    }
-    ThreadPool::set_global_threads(0);  // restore the default pool
+                    static_cast<long long>(mesh.x / d.px),
+                    static_cast<long long>(mesh.y / d.py),
+                    static_cast<long long>(mesh.z), total);
+        std::printf("  %-22s %8s %9s %21s %9s\n", "measured", "threads",
+                    "s/step", "[q1, q3]", "speedup");
+        std::printf("  %-22s %8zu %9.4f   [%7.4f, %7.4f] %8.2fx\n",
+                    "single domain", total, single_s.median, single_s.q1,
+                    single_s.q3, 1.0);
+        std::printf("  %-22s %5zux%-2zu %9.4f   [%7.4f, %7.4f] %8.2fx\n",
+                    "split runner", static_cast<std::size_t>(ranks),
+                    per_rank, split_s.median, split_s.q1, split_s.q3,
+                    single_s.median / split_s.median);
+        std::printf("  %-22s %12s %9s\n", "modeled (GPU cluster)",
+                    "ms/step", "gain");
+        std::printf("  %-22s %12.2f %8.1f%%\n", "no overlap", 1e3 * m_none,
+                    0.0);
+        std::printf("  %-22s %12.2f %8.1f%%\n", "methods 2+3", 1e3 * m_23,
+                    100.0 * (m_none - m_23) / m_none);
+        std::printf("  %-22s %12.2f %8.1f%%\n", "methods 1+2+3",
+                    1e3 * m_123, 100.0 * (m_none - m_123) / m_none);
 
-    note("the model column predicts the same rank topology on the paper's");
-    note("GPU cluster at its production per-GPU mesh — compare the relative");
-    note("gains, not the absolute seconds, against the host measurement.");
+        io::JsonValue row;
+        row.set("px", d.px);
+        row.set("py", d.py);
+        row.set("local", io::JsonArray{io::JsonValue(mesh.x / d.px),
+                                       io::JsonValue(mesh.y / d.py),
+                                       io::JsonValue(mesh.z)});
+        row.set("threads_total", static_cast<long long>(total));
+        row.set("threads_per_rank", static_cast<long long>(per_rank));
+        row.set("single_domain_seconds_per_step", spread_json(single_s));
+        row.set("split_seconds_per_step", spread_json(split_s));
+        row.set("split_speedup_vs_single_domain",
+                single_s.median / split_s.median);
+        io::JsonValue model;
+        model.set("none_seconds", m_none);
+        model.set("methods_2_3_seconds", m_23);
+        model.set("methods_1_2_3_seconds", m_123);
+        row.set("modeled", std::move(model));
+        rows.push_back(std::move(row));
+    }
+
+    note("");
+    note("the model columns predict the same rank topology on the paper's");
+    note("GPU cluster at its production per-GPU mesh — compare relative");
+    note("gains, not absolute seconds, against the host measurement.");
 
     io::JsonValue doc;
     doc.set("config", "mountain_wave_warm_rain");
@@ -248,33 +261,9 @@ int main(int argc, char** argv) {
                                   io::JsonValue(mesh.y),
                                   io::JsonValue(mesh.z)});
     doc.set("timed_steps", steps);
+    doc.set("reps", reps);
     doc.set("hardware_threads", static_cast<long long>(hw));
-    io::JsonArray ds;
-    for (const auto& dr : all) {
-        io::JsonValue row;
-        row.set("px", dr.d.px);
-        row.set("py", dr.d.py);
-        row.set("local", io::JsonArray{io::JsonValue(dr.local.x),
-                                       io::JsonValue(dr.local.y),
-                                       io::JsonValue(dr.local.z)});
-        row.set("threads_total", static_cast<long long>(dr.threads_total));
-        const double base = dr.runs.front().seconds_per_step;
-        const double mbase = dr.runs.front().modeled_s;
-        io::JsonArray runs;
-        for (const auto& r : dr.runs) {
-            io::JsonValue rr;
-            rr.set("mode", mode_name(r.mode));
-            rr.set("threads_per_rank",
-                   static_cast<long long>(r.threads_per_rank));
-            rr.set("seconds_per_step", r.seconds_per_step);
-            rr.set("speedup_vs_none", base / r.seconds_per_step);
-            rr.set("modeled_seconds", r.modeled_s);
-            rr.set("modeled_speedup_vs_none", mbase / r.modeled_s);
-            runs.push_back(std::move(rr));
-        }
-        row.set("runs", std::move(runs));
-        ds.push_back(std::move(row));
-    }
-    doc.set("decompositions", std::move(ds));
+    doc.set("compiler", __VERSION__);
+    doc.set("decompositions", std::move(rows));
     return write_json("BENCH_multidomain_overlap.json", doc) ? 0 : 1;
 }

@@ -171,7 +171,6 @@ int main(int argc, char** argv) {
     runners.reserve(nv);
     for (const auto& v : variants) {
         MultiDomainConfig md;
-        md.overlap = OverlapMode::Split;
         md.threads_per_rank = per_rank;
         apply(v, md);
         runners.push_back(std::make_unique<MultiDomainRunner<double>>(

@@ -4,12 +4,12 @@
 // verify the two agree to machine precision.
 //
 //   ./examples/decomposed_run [px py steps] [--inject-fault=KIND]
-//                             [--deadline-ms=N] [--overlap=MODE]
+//                             [--deadline-ms=N]
 //                             [--trace=FILE.json] [--metrics=FILE.json]
 //
-// --overlap selects the decomposed executor: none (lockstep reference),
-// split (rank-concurrent kernel division + fusion) or pipeline
-// (+ inter-variable tracer pipelining). --trace writes a Chrome
+// Every rank runs the step program on its own worker, with halo-consuming
+// kernels divided into boundary strips and interior so the halo channels
+// overlap compute (paper Sec. V-A methods 2 + 3). --trace writes a Chrome
 // trace-event JSON of the run (load it at https://ui.perfetto.dev) with
 // per-rank step/halo spans; --metrics writes per-step counter snapshots.
 //
@@ -35,7 +35,6 @@ using namespace asuca;
 
 int main(int argc, char** argv) {
     std::string fault;
-    std::string overlap;
     std::string trace_path;
     std::string metrics_path;
     long long deadline_ms = 2000;
@@ -47,12 +46,14 @@ int main(int argc, char** argv) {
             fault = argv[a] + 15;
         } else if (std::strncmp(argv[a], "--deadline-ms=", 14) == 0) {
             deadline_ms = std::atoll(argv[a] + 14);
-        } else if (std::strncmp(argv[a], "--overlap=", 10) == 0) {
-            overlap = argv[a] + 10;
         } else if (std::strncmp(argv[a], "--trace=", 8) == 0) {
             trace_path = argv[a] + 8;
         } else if (std::strncmp(argv[a], "--metrics=", 10) == 0) {
             metrics_path = argv[a] + 10;
+        } else if (std::strncmp(argv[a], "--", 2) == 0) {
+            // Not a step count: an unknown (or retired) option.
+            std::fprintf(stderr, "unknown option %s\n", argv[a]);
+            return 2;
         } else if (n_pos < 2) {
             pos[n_pos++] = std::atoll(argv[a]);
         } else {
@@ -78,22 +79,10 @@ int main(int argc, char** argv) {
     t_single.stop();
 
     // Decomposed run from the same initial state. With a fault requested,
-    // run the concurrent executor under the resilience policy.
+    // run it under the resilience policy.
     cluster::MultiDomainConfig md;
-    if (overlap == "split") {
-        md.overlap = cluster::OverlapMode::Split;
-    } else if (overlap == "pipeline") {
-        md.overlap = cluster::OverlapMode::SplitPipeline;
-    } else if (!overlap.empty() && overlap != "none") {
-        std::fprintf(stderr, "unknown --overlap=%s (none|split|pipeline)\n",
-                     overlap.c_str());
-        return 2;
-    }
     if (!fault.empty()) {
         using resilience::FaultKind;
-        if (md.overlap == cluster::OverlapMode::None) {
-            md.overlap = cluster::OverlapMode::Split;
-        }
         md.resilience.enabled = true;
         md.resilience.checkpoint_interval = 1;
         md.resilience.halo_deadline =

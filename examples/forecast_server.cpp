@@ -131,7 +131,6 @@ int main(int argc, char** argv) {
         dec.steps = 2;
         dec.px = 2;
         dec.py = 2;
-        dec.overlap = "split";
         inject_want =
             run_forecast(canonicalize(dec), nullptr, false).fingerprint;
         dec.inject = inject;

@@ -1,17 +1,16 @@
 // Asynchronous halo channels for the concurrent multi-domain runner.
 //
-// The lockstep MultiDomainRunner fills halos by directly reading neighbor
-// rank arrays while NO rank is computing — a global synchronous barrier
-// at every exchange point. Here each (receiving rank, side) pair gets its
-// own HaloChannel: a single-producer single-consumer, double-buffered
-// message queue. The producing rank PACKS its boundary strip into a slot
-// and POSTS it with a release-store; the consuming rank waits for the
-// post with acquire-loads and UNPACKS the strip into its halo cells. The
-// double buffer lets a producer run up to one full exchange point ahead
-// of a slow consumer before blocking — the in-process analog of the
-// paper's posted MPI sends overlapping GPU compute (Sec. V-A).
+// Instead of a global barrier at every exchange point, each (receiving
+// rank, side) pair gets its own HaloChannel: a single-producer
+// single-consumer, double-buffered message queue. The producing rank
+// PACKS its boundary strip into a slot and POSTS it with a release-store;
+// the consuming rank waits for the post with acquire-loads and UNPACKS
+// the strip into its halo cells. The double buffer lets a producer run up
+// to one full exchange point ahead of a slow consumer before blocking —
+// the in-process analog of the paper's posted MPI sends overlapping GPU
+// compute (Sec. V-A).
 //
-// Strip geometry reproduces the lockstep exchange exactly:
+// Strip geometry reproduces the single-domain periodic fill exactly:
 //   x pass  — strips cover interior rows j in [0, ny_field) and the full
 //             padded k range; the west halo receives the west neighbor's
 //             easternmost interior columns, the east halo (plus the
@@ -21,9 +20,11 @@
 //             exchanged x halos propagate to the corners, exactly like
 //             the single-domain periodic fill) and rows [0, h + sy) /
 //             [ny - h, ny) of the producer.
-// Because both passes copy the same cells from the same source cells as
-// the lockstep code, a channel-exchanged run is bitwise identical to a
-// lockstep run (validated in tests/test_multidomain_overlap.cpp).
+// Because both passes copy the same cells the periodic fill writes, from
+// the same source cells (local extents are at least one halo wide, so
+// every strip lies in one neighbor's interior), a channel-exchanged run
+// is bitwise identical to the single-domain run (validated in
+// tests/test_multidomain.cpp).
 //
 // Failure detection (the resilience subsystem): a channel can be
 // GUARDED, which changes the infinite futex waits into deadline-bounded
@@ -495,8 +496,8 @@ class HaloExchanger {
     }
 
     /// Pack and post both y-direction strips (full padded i range — the
-    /// x halos of `a` must already be received, mirroring the lockstep
-    /// x-then-y ordering that resolves the corners).
+    /// x halos of `a` must already be received, mirroring the periodic
+    /// fill's x-then-y ordering that resolves the corners).
     void post_y(Index r, const Array3<T>& a) {
         obs::TraceSpan span("halo_pack_y", r, "halo");
         const Index h = a.halo();
@@ -517,17 +518,7 @@ class HaloExchanger {
         unpack_rows(channel(r, North), a, nyl_, nyl_ + h + sy);
     }
 
-    /// Full exchange of one field for rank r: x strips, then y strips
-    /// over the padded x range. Blocking variant used by the split-mode
-    /// per-field exchanges.
-    void exchange(Index r, Array3<T>& a) {
-        post_x(r, a);
-        recv_x(r, a);
-        post_y(r, a);
-        recv_y(r, a);
-    }
-
-    /// Direct channel access (tests and the pipelined schedules).
+    /// Direct channel access.
     HaloChannel<T>& channel(Index rank, Side side) {
         return channels_[static_cast<std::size_t>(rank) * 4 +
                          static_cast<std::size_t>(side)];

@@ -2,33 +2,24 @@
 // numerical counterpart of the paper's 2-D MPI decomposition (Sec. V).
 //
 // The global domain is split px x py; each "rank" owns its own Grid,
-// State and TimeStepper machinery. Two executors share that layout:
-//
-//   * OverlapMode::None — the reference LOCKSTEP path: one thread drives
-//     all ranks through exactly the stage/substep structure of
-//     TimeStepper::step(), replacing every lateral-BC halo fill by a
-//     direct strip copy from the neighboring rank while no rank computes
-//     (a global barrier at every exchange point).
-//
-//   * OverlapMode::Split / SplitPipeline — the CONCURRENT executor: each
-//     rank runs the whole step program on its own TaskLayer worker
-//     (issuing its kernels against a private per-rank ThreadPool via
-//     ThreadPool::ScopedOverride), and halos move through per-neighbor
-//     double-buffered HaloChannels instead of barriers. Halo-consuming
-//     kernels split into boundary-strip and interior launches so the
-//     strips can be posted while the interior computes — the paper's
-//     Sec. V-A overlap method 2 — and the acoustic density/theta updates
-//     run logically fused (method 3). SplitPipeline adds method 1
-//     (inter-variable pipelining: tracer y-halo receives interleave with
-//     the per-tracer advection).
+// State and TimeStepper machinery. Each rank runs the whole step
+// program — the stage/substep structure of TimeStepper::step() — on its
+// own TaskLayer worker (issuing its kernels against a private per-rank
+// ThreadPool via ThreadPool::ScopedOverride), and every lateral-BC halo
+// fill becomes a neighbor exchange through per-neighbor double-buffered
+// HaloChannels. Halo-consuming kernels split into boundary-strip and
+// interior launches so the strips can be posted while the interior
+// computes — the paper's Sec. V-A overlap method 2 — and the acoustic
+// density/theta updates run logically fused (method 3). Method 1
+// (inter-variable pipelining) is modeled in StepModel only: measured on
+// a 4-core host it bought nothing over this schedule.
 //
 // Because the per-cell arithmetic is identical, the channel strips carry
-// exactly the cells the lockstep copies move, and every kernel split is
-// a disjoint partition of the same writes, ALL modes are bitwise
-// identical to each other and to the single-domain run (validated in
-// tests/test_multidomain.cpp and tests/test_multidomain_overlap.cpp) —
-// the decomposition analog of the paper's "GPU code agrees with the CPU
-// code within round-off".
+// exactly the cells the single-domain periodic fill writes, and every
+// kernel split is a disjoint partition of the same writes, a decomposed
+// run is bitwise identical to the single-domain run (validated in
+// tests/test_multidomain.cpp) — the decomposition analog of the paper's
+// "GPU code agrees with the CPU code within round-off".
 #pragma once
 
 #include <algorithm>
@@ -36,11 +27,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
 #include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -48,6 +39,7 @@
 #include "src/core/timestepper.hpp"
 #include "src/grid/grid.hpp"
 #include "src/io/checkpoint.hpp"
+#include "src/io/durable_blob.hpp"
 #include "src/observability/metrics.hpp"
 #include "src/observability/step_hooks.hpp"
 #include "src/observability/trace.hpp"
@@ -59,12 +51,11 @@
 
 namespace asuca::cluster {
 
-/// How the concurrent executor hides halo exchanges behind compute.
-enum class OverlapMode {
-    None,          ///< lockstep reference path (serial, global barriers)
-    Split,         ///< rank-concurrent + kernel division (2) + fusion (3)
-    SplitPipeline  ///< + inter-variable tracer pipelining (method 1)
-};
+/// The runner's one schedule: rank-concurrent, kernel division (method
+/// 2) + fusion (method 3). Kept, with MultiDomainConfig::overlap, only
+/// for source compatibility of callers that still name it; the runner
+/// never reads it.
+enum class OverlapMode { Split };
 
 /// A step failure the runner cannot repair by rollback-and-replay: an
 /// implicated rank died, missed its halo deadline, or a transient fault
@@ -88,9 +79,9 @@ class FatalFaultError : public Error {
 };
 
 /// Fault detection + recovery policy of the runner (the resilience
-/// subsystem). Disabled by default: the executors behave exactly as
-/// before — infinite futex waits, no integrity words, no snapshots —
-/// and stay bitwise identical to the seed behavior at zero extra cost.
+/// subsystem). Disabled by default: infinite futex waits, no integrity
+/// words, no snapshots — bitwise identical to the guarded run at zero
+/// extra cost.
 struct ResilienceConfig {
     bool enabled = false;
     /// Long steps between in-memory rank snapshots (rollback points).
@@ -113,9 +104,9 @@ struct ResilienceConfig {
 };
 
 struct MultiDomainConfig {
-    OverlapMode overlap = OverlapMode::None;
-    /// Threads in each rank's private ThreadPool (concurrent modes). 1
-    /// means the rank's j-slab loops run inline on its task thread.
+    OverlapMode overlap = OverlapMode::Split;  ///< unused (see OverlapMode)
+    /// Threads in each rank's private ThreadPool. 1 means the rank's
+    /// j-slab loops run inline on its task thread.
     std::size_t threads_per_rank = 1;
     ResilienceConfig resilience;
 };
@@ -124,13 +115,13 @@ template <class T>
 class MultiDomainRunner {
   public:
     /// `global` describes the full domain; it is split into px x py equal
-    /// subdomains (extents must divide evenly).
+    /// subdomains (extents must divide evenly and be at least one halo
+    /// wide, so every halo strip comes from one neighbor's interior).
     MultiDomainRunner(const GridSpec& global, Index px, Index py,
                       const SpeciesSet& species,
                       const TimeStepperConfig& config,
                       const MultiDomainConfig& mdconfig = {})
-        : global_(global), px_(px), py_(py), species_(species), cfg_(config),
-          mdcfg_(mdconfig) {
+        : global_(global), px_(px), py_(py), cfg_(config), mdcfg_(mdconfig) {
         ASUCA_REQUIRE(px >= 1 && py >= 1, "need at least 1x1 ranks");
         ASUCA_REQUIRE(global.nx % px == 0 && global.ny % py == 0,
                       "global mesh " << global.nx << "x" << global.ny
@@ -140,35 +131,28 @@ class MultiDomainRunner {
                       "multi-domain runner implements periodic exchange");
         nxl_ = global.nx / px;
         nyl_ = global.ny / py;
-        // Both overlap modes enable the paper's method-3 fusion inside
-        // the acoustic implicit phase (bitwise identical either way):
-        // fusion is a property of the rewritten acoustic step, not of
-        // the inter-variable pipelining that SplitPipeline adds on top.
+        ASUCA_REQUIRE(nxl_ >= global.halo && nyl_ >= global.halo,
+                      "local extents " << nxl_ << "x" << nyl_
+                                       << " below the halo width "
+                                       << global.halo);
+        // The paper's method-3 fusion inside the acoustic implicit phase
+        // (bitwise identical to the unfused updates).
         TimeStepperConfig rank_cfg = cfg_;
-        if (mdcfg_.overlap != OverlapMode::None) {
-            rank_cfg.acoustic.fuse_density_theta = true;
-        }
+        rank_cfg.acoustic.fuse_density_theta = true;
         ranks_.reserve(static_cast<std::size_t>(px * py));
         for (Index ry = 0; ry < py; ++ry) {
             for (Index rx = 0; rx < px; ++rx) {
                 ranks_.push_back(std::make_unique<Rank>(
-                    make_local_spec(rx, ry), species_, rank_cfg));
+                    make_local_spec(rx, ry), species, rank_cfg));
             }
         }
-        if (mdcfg_.overlap != OverlapMode::None) {
-            const Index h = ranks_.front()->grid.halo();
-            ASUCA_REQUIRE(nxl_ >= 2 * h && nyl_ >= 2 * h,
-                          "overlap modes need local extents >= 2*halo, got "
-                              << nxl_ << "x" << nyl_);
-            tasks_ = std::make_unique<TaskLayer>(
-                static_cast<std::size_t>(rank_count()));
-            exchanger_ = std::make_unique<HaloExchanger<T>>(px_, py_, nxl_,
-                                                            nyl_);
-            pools_.reserve(static_cast<std::size_t>(rank_count()));
-            for (Index r = 0; r < rank_count(); ++r) {
-                pools_.push_back(std::make_unique<ThreadPool>(
-                    std::max<std::size_t>(1, mdcfg_.threads_per_rank)));
-            }
+        tasks_ = std::make_unique<TaskLayer>(
+            static_cast<std::size_t>(rank_count()));
+        exchanger_ = std::make_unique<HaloExchanger<T>>(px_, py_, nxl_, nyl_);
+        pools_.reserve(static_cast<std::size_t>(rank_count()));
+        for (Index r = 0; r < rank_count(); ++r) {
+            pools_.push_back(std::make_unique<ThreadPool>(
+                std::max<std::size_t>(1, mdcfg_.threads_per_rank)));
         }
         // ASUCA_FORCE_GUARDED=1 flips guarding on for runners that did
         // not opt in — the CI lever that runs the whole tier-1 matrix
@@ -188,21 +172,8 @@ class MultiDomainRunner {
                           "bad resilience config");
             injector_ = resilience::FaultInjector(rc.faults);
             watchdog_ = resilience::Watchdog<T>(rc.watchdog);
-            if (mdcfg_.overlap == OverlapMode::None) {
-                // The lockstep executor has no channels and no rank
-                // workers: only field faults are meaningful there.
-                using resilience::FaultKind;
-                for (const auto& f : rc.faults) {
-                    ASUCA_REQUIRE(f.kind == FaultKind::FieldNaN ||
-                                      f.kind == FaultKind::FieldInf ||
-                                      f.kind == FaultKind::FieldBitFlip,
-                                  "halo/rank faults need a concurrent "
-                                  "overlap mode");
-                }
-            } else {
-                exchanger_->enable_guard(
-                    ChannelGuard{rc.halo_deadline, rc.halo_integrity});
-            }
+            exchanger_->enable_guard(
+                ChannelGuard{rc.halo_deadline, rc.halo_integrity});
             // Rollback snapshots copy from the stage workspaces: bitwise
             // equal to the committed states at every commit point and
             // not overwritten until deep into the next step (the async
@@ -224,7 +195,6 @@ class MultiDomainRunner {
     const Grid<T>& rank_grid(Index r) const {
         return ranks_[size_t(r)]->grid;
     }
-    OverlapMode overlap_mode() const { return mdcfg_.overlap; }
     /// Effective resilience state (after the ASUCA_FORCE_GUARDED env
     /// override applied at construction).
     bool resilience_enabled() const { return mdcfg_.resilience.enabled; }
@@ -246,21 +216,8 @@ class MultiDomainRunner {
     using StepHooks = obs::StepHooks<MultiDomainRunner&>;
     StepHooks& step_hooks() { return step_hooks_; }
 
-    /// Legacy single-observer shim over step_hooks(): set replaces this
-    /// shim's own subscription, nullptr detaches it. Other subscribers
-    /// are unaffected.
-    using StepObserver = std::function<void(MultiDomainRunner&)>;
-    [[deprecated("use step_hooks().add()/remove()")]]
-    void set_step_observer(StepObserver observer) {
-        if (shim_handle_ != 0) {
-            step_hooks_.remove(shim_handle_);
-            shim_handle_ = 0;
-        }
-        if (observer) shim_handle_ = step_hooks_.add(std::move(observer));
-    }
-
     /// Copy the interiors of a global state into the rank states and
-    /// perform the initial exchange.
+    /// perform the initial exchange through the halo channels.
     void scatter(const State<T>& global_state) {
         for (Index r = 0; r < rank_count(); ++r) {
             auto& rk = *ranks_[size_t(r)];
@@ -280,7 +237,10 @@ class MultiDomainRunner {
                             0, 0);
             }
         }
-        exchange_states();
+        run_ranks([this](Index r) {
+            pipelined_exchange(r,
+                               exchange_field_list(ranks_[size_t(r)]->state));
+        });
         // The rank states were just replaced wholesale: any existing
         // rollback point (and the once-copied reference fields) is stale.
         if (snap_.configured()) snap_.invalidate();
@@ -440,23 +400,27 @@ class MultiDomainRunner {
     /// Checkpoint every rank's full padded state (v3 stream sections
     /// behind a small decomposition header) for exact multi-domain
     /// restart: halos included, so a restarted runner replays bitwise.
+    /// The whole payload goes out as one wrapped blob (magic, length,
+    /// checksum) through an atomic rename, so a crash mid-write never
+    /// leaves a torn file under `path`.
     void save_checkpoint(const std::string& path) const {
-        std::ofstream out(path, std::ios::binary);
-        ASUCA_REQUIRE(out.good(), "cannot open checkpoint " << path);
+        std::ostringstream out(std::ios::binary);
         const std::int64_t hdr[3] = {px_, py_, step_index_};
         out.write(reinterpret_cast<const char*>(hdr), sizeof(hdr));
         for (Index r = 0; r < rank_count(); ++r) {
             io::save_state(out, rank_state(r), step_time());
         }
-        ASUCA_REQUIRE(out.good(), "checkpoint write failed: " << path);
+        io::write_file_atomic(path, io::wrap_blob(std::move(out).str()));
     }
 
-    /// Transactional restore: every rank section deserializes (and
-    /// checksum-verifies) into staged copies first, so a truncated or
-    /// corrupted checkpoint throws without touching any rank's state.
+    /// Transactional restore: the wrapped blob is verified whole (a
+    /// damaged one throws from unwrap_blob), then every rank section
+    /// deserializes (and checksum-verifies) into staged copies, so a
+    /// truncated or corrupted checkpoint throws without touching any
+    /// rank's state.
     void load_checkpoint(const std::string& path) {
-        std::ifstream in(path, std::ios::binary);
-        ASUCA_REQUIRE(in.good(), "cannot open checkpoint " << path);
+        std::istringstream in(io::unwrap_blob(io::read_file(path)),
+                              std::ios::binary);
         std::int64_t hdr[3] = {0, 0, 0};
         in.read(reinterpret_cast<char*>(hdr), sizeof(hdr));
         ASUCA_REQUIRE(in.good() && hdr[0] == px_ && hdr[1] == py_,
@@ -490,11 +454,10 @@ class MultiDomainRunner {
     };
 
     static constexpr double kStageFraction[3] = {1.0 / 3.0, 0.5, 1.0};
+
     /// Exchanged state fields in canonical order: the six dynamic fields
     /// first, then the tracers. Channel message streams rely on every
     /// rank issuing posts/receives in this same order.
-    static constexpr std::size_t kNumDynamicFields = 6;
-
     static std::vector<Array3<T>*> exchange_field_list(State<T>& s) {
         std::vector<Array3<T>*> fs = {&s.rho, &s.rhou,     &s.rhov,
                                       &s.rhow, &s.rhotheta, &s.p};
@@ -502,154 +465,63 @@ class MultiDomainRunner {
         return fs;
     }
 
-    /// Dispatch one long step to the configured executor.
-    void step_impl() {
-        obs::TraceSpan span("md_long_step", "phase");
-        if (mdcfg_.overlap == OverlapMode::None) {
-            step_lockstep();
-        } else {
-            step_concurrent();
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Lockstep reference executor (OverlapMode::None).
-    // ------------------------------------------------------------------
-
-    /// Mirrors TimeStepper::step() with exchanges at every halo-fill
-    /// point, all ranks advanced by one serial driver.
-    void step_lockstep() {
-        exchange_states();
-        for (auto& rk : ranks_) {
-            rk->stepper.step_start_state() = rk->state;
-        }
-        std::vector<State<T>*> bar(static_cast<std::size_t>(rank_count()),
-                                   nullptr);
-        for (Index r = 0; r < rank_count(); ++r) {
-            bar[size_t(r)] = &ranks_[size_t(r)]->state;
-        }
-        for (int stage = 0; stage < 3; ++stage) {
-            const double dt_s = cfg_.dt * kStageFraction[stage];
-            const int ns = std::max(
-                1, static_cast<int>(std::lround(cfg_.n_short_steps *
-                                                kStageFraction[stage])));
-            const double dtau = dt_s / ns;
-            for (Index r = 0; r < rank_count(); ++r) {
-                auto& rk = *ranks_[size_t(r)];
-                rk.stepper.compute_slow_tendencies(
-                    *bar[size_t(r)], rk.stepper.slow_tendencies());
-                rk.stepper.acoustic().prepare(*bar[size_t(r)]);
-                rk.stepper.acoustic().init_deviations(
-                    rk.stepper.step_start_state(), *bar[size_t(r)]);
-            }
-            for (int n = 0; n < ns; ++n) {
-                for (auto& rk : ranks_) {
-                    rk->stepper.acoustic().phase_theta_half(
-                        rk->stepper.slow_tendencies(), dtau);
-                }
-                exchange([](Rank& rk) -> Array3<T>& {
-                    return rk.stepper.acoustic().dp_half();
-                });
-                for (auto& rk : ranks_) {
-                    rk->stepper.acoustic().phase_horizontal_momentum(
-                        rk->stepper.slow_tendencies(), dtau);
-                }
-                exchange([](Rank& rk) -> Array3<T>& {
-                    return rk.stepper.acoustic().du();
-                });
-                exchange([](Rank& rk) -> Array3<T>& {
-                    return rk.stepper.acoustic().dv();
-                });
-                for (auto& rk : ranks_) {
-                    rk->stepper.acoustic().phase_bottom_kinematic();
-                    rk->stepper.acoustic().phase_vertical_implicit(
-                        rk->stepper.slow_tendencies(), dtau);
-                }
-                exchange([](Rank& rk) -> Array3<T>& {
-                    return rk.stepper.acoustic().dw();
-                });
-                exchange([](Rank& rk) -> Array3<T>& {
-                    return rk.stepper.acoustic().drho();
-                });
-                exchange([](Rank& rk) -> Array3<T>& {
-                    return rk.stepper.acoustic().dth();
-                });
-                exchange([](Rank& rk) -> Array3<T>& {
-                    return rk.stepper.acoustic().dp();
-                });
-            }
-            for (Index r = 0; r < rank_count(); ++r) {
-                auto& rk = *ranks_[size_t(r)];
-                // First workspace write of the step: an in-flight
-                // snapshot round must copy this rank first.
-                if (stage == 0) snap_.barrier(r);
-                rk.stepper.stage_workspace() = *bar[size_t(r)];
-                rk.stepper.acoustic().finalize(*bar[size_t(r)],
-                                               rk.stepper.stage_workspace());
-                rk.stepper.update_stage_tracers(dt_s);
-                bar[size_t(r)] = &rk.stepper.stage_workspace();
-            }
-            exchange_workspaces();
-        }
-        for (Index r = 0; r < rank_count(); ++r) {
-            ranks_[size_t(r)]->state = ranks_[size_t(r)]->stepper
-                                           .stage_workspace();
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Concurrent executor (OverlapMode::Split / SplitPipeline).
-    // ------------------------------------------------------------------
-
-    void step_concurrent() {
-        const bool pipeline =
-            (mdcfg_.overlap == OverlapMode::SplitPipeline);
+    /// Run `body(r)` for every rank on its own TaskLayer worker, with the
+    /// rank's j-slab kernels routed to its private pool (inline when
+    /// single-threaded) — the process pool's run_region supports only
+    /// one caller at a time. Any rank failure poisons every channel so no
+    /// peer stays blocked on a message that will never come: each rank
+    /// unwinds with its own verdict, and advance() classifies them.
+    template <class Body>
+    void run_ranks(Body&& body) {
         tasks_->run([&](std::size_t ri) {
-            // Route this rank's j-slab kernels to its private pool (inline
-            // when single-threaded) — the process pool's run_region
-            // supports only one caller at a time.
             ThreadPool::ScopedOverride pool_guard(*pools_[ri]);
-            const Index r = static_cast<Index>(ri);
             try {
-                if (injector_.enabled()) {
-                    const auto stall = injector_.stall(r, step_index_);
-                    if (stall.count() > 0) {
-                        obs::trace_instant("fault_stall", r, "resilience");
-                        std::this_thread::sleep_for(stall);
-                    }
-                    if (injector_.kill(r, step_index_)) {
-                        obs::trace_instant("fault_kill", r, "resilience");
-                        throw resilience::InjectedFaultError(r, step_index_);
-                    }
-                    if (injector_.arm_halo_corrupt(r, step_index_)) {
-                        obs::trace_instant("fault_halo_corrupt", r,
-                                           "resilience");
-                        exchanger_->arm_corrupt(r);
-                    }
-                    const auto delay = injector_.halo_delay(r, step_index_);
-                    if (delay.count() > 0) {
-                        obs::trace_instant("fault_halo_delay", r,
-                                           "resilience");
-                        exchanger_->arm_delay(r, delay);
-                    }
-                }
-                rank_step_program(r, pipeline);
+                body(static_cast<Index>(ri));
             } catch (...) {
-                // Any rank failure poisons every channel so no peer stays
-                // blocked on a message that will never come: each rank
-                // unwinds with its own verdict, the driver classifies.
                 exchanger_->poison_all();
                 throw;
             }
         });
     }
 
-    /// The whole long step from one rank's point of view. Every rank runs
-    /// this same program, so each SPSC channel sees an identical message
+    /// One long step: every rank runs rank_step_program() concurrently,
+    /// after any injected rank/halo faults due this step are armed.
+    void step_impl() {
+        obs::TraceSpan span("md_long_step", "phase");
+        run_ranks([this](Index r) {
+            if (injector_.enabled()) {
+                const auto stall = injector_.stall(r, step_index_);
+                if (stall.count() > 0) {
+                    obs::trace_instant("fault_stall", r, "resilience");
+                    std::this_thread::sleep_for(stall);
+                }
+                if (injector_.kill(r, step_index_)) {
+                    obs::trace_instant("fault_kill", r, "resilience");
+                    throw resilience::InjectedFaultError(r, step_index_);
+                }
+                if (injector_.arm_halo_corrupt(r, step_index_)) {
+                    obs::trace_instant("fault_halo_corrupt", r,
+                                       "resilience");
+                    exchanger_->arm_corrupt(r);
+                }
+                const auto delay = injector_.halo_delay(r, step_index_);
+                if (delay.count() > 0) {
+                    obs::trace_instant("fault_halo_delay", r, "resilience");
+                    exchanger_->arm_delay(r, delay);
+                }
+            }
+            rank_step_program(r);
+        });
+    }
+
+    /// The whole long step from one rank's point of view: the stage and
+    /// substep structure of TimeStepper::step(), with every lateral-BC
+    /// halo fill replaced by a channel exchange. Every rank runs this
+    /// same program, so each SPSC channel sees an identical message
     /// sequence on both ends and the bounded (<= 2 in flight) post/recv
     /// schedules below can never deadlock: each post waits only on a
     /// receive that occurs strictly earlier in the shared program order.
-    void rank_step_program(Index r, bool pipeline) {
+    void rank_step_program(Index r) {
         if (obs::trace_enabled()) {
             obs::name_this_thread("rank " + std::to_string(r) + " worker");
         }
@@ -659,10 +531,8 @@ class MultiDomainRunner {
         AcousticStepper<T>& ac = st.acoustic();
         Tendencies<T>& slow = st.slow_tendencies();
 
-        if (!pipeline) {
-            pipelined_exchange(r, exchange_field_list(rk.state));
-            st.step_start_state() = rk.state;
-        }
+        pipelined_exchange(r, exchange_field_list(rk.state));
+        st.step_start_state() = rk.state;
         State<T>* bar = &rk.state;
         for (int stage = 0; stage < 3; ++stage) {
             const double dt_s = cfg_.dt * kStageFraction[stage];
@@ -670,18 +540,7 @@ class MultiDomainRunner {
                 1, static_cast<int>(std::lround(cfg_.n_short_steps *
                                                 kStageFraction[stage])));
             const double dtau = dt_s / ns;
-            if (pipeline) {
-                // The bar exchange (step-start state for stage 0, the
-                // deferred previous-stage workspace otherwise) overlaps
-                // the slow-tendency computation.
-                combined_exchange_and_tendencies(r, *bar, slow);
-                // The step-start state snapshot: taken after all strips
-                // landed, matching the lockstep copy exactly (the
-                // tendencies read bar without modifying it).
-                if (stage == 0) st.step_start_state() = rk.state;
-            } else {
-                st.compute_slow_tendencies(*bar, slow);
-            }
+            st.compute_slow_tendencies(*bar, slow);
             ac.prepare(*bar);
             ac.init_deviations(st.step_start_state(), *bar);
             for (int n = 0; n < ns; ++n) {
@@ -696,14 +555,7 @@ class MultiDomainRunner {
             ac.finalize(*bar, st.stage_workspace());
             st.update_stage_tracers(dt_s);
             bar = &st.stage_workspace();
-            if (!pipeline) {
-                pipelined_exchange(r, exchange_field_list(*bar));
-            } else if (stage == 2) {
-                // Stages 0-1 defer the workspace exchange into the next
-                // stage's combined block; the final one must complete
-                // before the workspace becomes the step result.
-                pipelined_exchange(r, exchange_field_list(*bar));
-            }
+            pipelined_exchange(r, exchange_field_list(*bar));
         }
         rk.state = st.stage_workspace();
     }
@@ -726,54 +578,6 @@ class MultiDomainRunner {
         exchanger_->recv_y(r, *fs[m - 1]);
     }
 
-    /// SplitPipeline stage opening: exchange all of bar's fields AND
-    /// compute the slow tendencies, overlapped (paper Sec. V-A method 1).
-    /// The y receives of the tracers are deferred past the dynamic
-    /// tendencies and interleaved with the split per-tracer advection —
-    /// safe because nothing before each tracer's boundary-band advection
-    /// reads that tracer's y halos, and bitwise identical because the
-    /// strips carry the same values wherever the receive lands.
-    void combined_exchange_and_tendencies(Index r, State<T>& bar,
-                                          Tendencies<T>& slow) {
-        Rank& rk = *ranks_[size_t(r)];
-        const auto fields = exchange_field_list(bar);
-        const std::size_t m = fields.size();
-        const Index h = rk.grid.halo();
-        const Index ny = rk.grid.ny();
-
-        // x strips of every field, pipelined.
-        exchanger_->post_x(r, *fields[0]);
-        for (std::size_t f = 0; f < m; ++f) {
-            if (f + 1 < m) exchanger_->post_x(r, *fields[f + 1]);
-            exchanger_->recv_x(r, *fields[f]);
-        }
-        // y strips: post in field order with a look-ahead of 2 (the
-        // channel slot count); receive the dynamic fields now — the slow
-        // tendencies need their halos — and the tracers lazily below.
-        exchanger_->post_y(r, *fields[0]);
-        exchanger_->post_y(r, *fields[1]);
-        for (std::size_t f = 0; f < kNumDynamicFields; ++f) {
-            exchanger_->recv_y(r, *fields[f]);
-            if (f + 2 < m) exchanger_->post_y(r, *fields[f + 2]);
-        }
-
-        // The overlap window: while the tracer y strips sit in the
-        // channels, compute everything that does not read them.
-        rk.stepper.compute_slow_tendencies_dynamic(bar, slow);
-
-        // Per tracer: interior rows first (advection reaches +-halo rows,
-        // so they need no y halos), then the receive, then the boundary
-        // bands that do.
-        for (std::size_t f = kNumDynamicFields; f < m; ++f) {
-            const std::size_t n = f - kNumDynamicFields;
-            rk.stepper.advect_tracer_rows(bar, slow, n, h, ny - h);
-            exchanger_->recv_y(r, *fields[f]);
-            if (f + 2 < m) exchanger_->post_y(r, *fields[f + 2]);
-            rk.stepper.advect_tracer_rows(bar, slow, n, 0, h);
-            rk.stepper.advect_tracer_rows(bar, slow, n, ny - h, ny);
-        }
-    }
-
     /// One acoustic substep with halo-consuming kernels divided into
     /// boundary-strip and interior launches (paper Sec. V-A method 2):
     /// dp_half's strips are computed and posted before its interior, the
@@ -785,16 +589,20 @@ class MultiDomainRunner {
         Tendencies<T>& slow = rk.stepper.slow_tendencies();
         const Index nx = rk.grid.nx(), ny = rk.grid.ny();
         const Index h = rk.grid.halo();
+        // Far edges of the interior. Below two halos of local extent the
+        // two bands of an axis meet and the interior is empty, so every
+        // cell is still computed exactly once.
+        const Index xe = std::max(nx - h, h), ye = std::max(ny - h, h);
 
-        // Phase 1 boundary frame first — exactly the cells the dp_half
+        // Phase 1 boundary frame first — every cell the dp_half
         // channels carry.
         ac.phase_theta_half_region(slow, dtau, 0, h, 0, ny);
-        ac.phase_theta_half_region(slow, dtau, nx - h, nx, 0, ny);
-        ac.phase_theta_half_region(slow, dtau, h, nx - h, 0, h);
-        ac.phase_theta_half_region(slow, dtau, h, nx - h, ny - h, ny);
+        ac.phase_theta_half_region(slow, dtau, xe, nx, 0, ny);
+        ac.phase_theta_half_region(slow, dtau, h, xe, 0, h);
+        ac.phase_theta_half_region(slow, dtau, h, xe, ye, ny);
         exchanger_->post_x(r, ac.dp_half());
         // Interior overlaps the in-flight x strips.
-        ac.phase_theta_half_region(slow, dtau, h, nx - h, h, ny - h);
+        ac.phase_theta_half_region(slow, dtau, h, xe, h, ye);
         exchanger_->recv_x(r, ac.dp_half());
         exchanger_->post_y(r, ac.dp_half());
         // pgf_x reads no y halos: every row runs during the y exchange.
@@ -845,31 +653,22 @@ class MultiDomainRunner {
     }
 
     /// Watchdog scan of every rank, sampled/parallel per watchdog.hpp.
-    /// In the concurrent modes each rank scans itself on its own task
-    /// worker (against its private pool); findings merge in rank order,
-    /// so the report is deterministic regardless of scheduling.
+    /// Each rank scans itself on its own task worker (against its private
+    /// pool); findings merge in rank order, so the report is
+    /// deterministic regardless of scheduling.
     void scan_all_ranks(resilience::HealthReport& report) {
         obs::TraceSpan span("watchdog_scan", "resilience");
-        if (tasks_ != nullptr) {
-            std::vector<resilience::HealthReport> reports(
-                static_cast<std::size_t>(rank_count()));
-            tasks_->run([&](std::size_t ri) {
-                ThreadPool::ScopedOverride pool_guard(*pools_[ri]);
-                const Index r = static_cast<Index>(ri);
-                watchdog_.scan(rank_grid(r), rank_state(r), cfg_.dt, r,
-                               step_index_, reports[ri]);
-            });
-            for (auto& rr : reports) {
-                report.findings.insert(
-                    report.findings.end(),
-                    std::make_move_iterator(rr.findings.begin()),
-                    std::make_move_iterator(rr.findings.end()));
-            }
-        } else {
-            for (Index r = 0; r < rank_count(); ++r) {
-                watchdog_.scan(rank_grid(r), rank_state(r), cfg_.dt, r,
-                               step_index_, report);
-            }
+        std::vector<resilience::HealthReport> reports(
+            static_cast<std::size_t>(rank_count()));
+        run_ranks([&](Index r) {
+            watchdog_.scan(rank_grid(r), rank_state(r), cfg_.dt, r,
+                           step_index_, reports[size_t(r)]);
+        });
+        for (auto& rr : reports) {
+            report.findings.insert(
+                report.findings.end(),
+                std::make_move_iterator(rr.findings.begin()),
+                std::make_move_iterator(rr.findings.end()));
         }
     }
 
@@ -896,7 +695,7 @@ class MultiDomainRunner {
             [this](Index r) -> State<T>& { return rank_state(r); });
         step_index_ = snap_.step();
         mass_baseline_ = snap_.mass();
-        if (exchanger_ != nullptr) rebuild_exchanger();
+        rebuild_exchanger();
         recovery_log_ += "rollback to step " + std::to_string(snap_.step()) +
                          " (" + why + "); ";
     }
@@ -949,7 +748,7 @@ class MultiDomainRunner {
                                 e.what() + "; ";
             }
         };
-        if (tasks_ != nullptr && !tasks_->errors().empty()) {
+        if (!tasks_->errors().empty()) {
             for (const auto& [task, ep] : tasks_->errors()) {
                 inspect(task, ep);
             }
@@ -1008,12 +807,6 @@ class MultiDomainRunner {
         return s;
     }
 
-    Index rank_of(Index rx, Index ry) const {
-        const Index wx = (rx % px_ + px_) % px_;
-        const Index wy = (ry % py_ + py_) % py_;
-        return wy * px_ + wx;
-    }
-
     /// Copy the (stagger-aware) interior window of a global array into a
     /// rank-local array. `sx/sy` are 1 for face-staggered axes.
     void copy_window(const Array3<T>& global, Array3<T>& local, Index r,
@@ -1059,84 +852,17 @@ class MultiDomainRunner {
                     global(ox + i, oy + j, k) = local(i, j, k);
     }
 
-    /// Lockstep exchange of one field family across all ranks: x strips
-    /// first, then y strips over the full padded x-range (corners resolve
-    /// exactly as in the single-domain periodic fill).
-    template <class FieldOf>
-    void exchange(FieldOf&& field_of) {
-        // x direction.
-        for (Index ry = 0; ry < py_; ++ry) {
-            for (Index rx = 0; rx < px_; ++rx) {
-                auto& dst = field_of(*ranks_[size_t(rank_of(rx, ry))]);
-                auto& left = field_of(*ranks_[size_t(rank_of(rx - 1, ry))]);
-                auto& right = field_of(*ranks_[size_t(rank_of(rx + 1, ry))]);
-                const Index h = dst.halo();
-                const Index sx = dst.nx() - nxl_;  // 1 if x-staggered
-                for (Index j = 0; j < dst.ny(); ++j)
-                    for (Index k = -h; k < dst.nz() + h; ++k) {
-                        for (Index t = 1; t <= h; ++t) {
-                            dst(-t, j, k) = left(nxl_ - t, j, k);
-                        }
-                        for (Index t = 0; t < h + sx; ++t) {
-                            dst(nxl_ + t, j, k) = right(t, j, k);
-                        }
-                    }
-            }
-        }
-        // y direction, full padded x-range.
-        for (Index ry = 0; ry < py_; ++ry) {
-            for (Index rx = 0; rx < px_; ++rx) {
-                auto& dst = field_of(*ranks_[size_t(rank_of(rx, ry))]);
-                auto& down = field_of(*ranks_[size_t(rank_of(rx, ry - 1))]);
-                auto& up = field_of(*ranks_[size_t(rank_of(rx, ry + 1))]);
-                const Index h = dst.halo();
-                const Index sy = dst.ny() - nyl_;
-                for (Index k = -h; k < dst.nz() + h; ++k)
-                    for (Index i = -h; i < dst.nx() + h; ++i) {
-                        for (Index t = 1; t <= h; ++t) {
-                            dst(i, -t, k) = down(i, nyl_ - t, k);
-                        }
-                        for (Index t = 0; t < h + sy; ++t) {
-                            dst(i, nyl_ + t, k) = up(i, t, k);
-                        }
-                    }
-            }
-        }
-    }
-
-    void exchange_state_fields(bool workspaces) {
-        auto pick = [&](Rank& rk) -> State<T>& {
-            return workspaces ? rk.stepper.stage_workspace() : rk.state;
-        };
-        exchange([&](Rank& rk) -> Array3<T>& { return pick(rk).rho; });
-        exchange([&](Rank& rk) -> Array3<T>& { return pick(rk).rhou; });
-        exchange([&](Rank& rk) -> Array3<T>& { return pick(rk).rhov; });
-        exchange([&](Rank& rk) -> Array3<T>& { return pick(rk).rhow; });
-        exchange([&](Rank& rk) -> Array3<T>& { return pick(rk).rhotheta; });
-        exchange([&](Rank& rk) -> Array3<T>& { return pick(rk).p; });
-        for (std::size_t n = 0; n < species_.count(); ++n) {
-            exchange([&](Rank& rk) -> Array3<T>& {
-                return pick(rk).tracers[n];
-            });
-        }
-    }
-
-    void exchange_states() { exchange_state_fields(false); }
-    void exchange_workspaces() { exchange_state_fields(true); }
-
     GridSpec global_;
     Index px_, py_;
-    SpeciesSet species_;
     TimeStepperConfig cfg_;
     MultiDomainConfig mdcfg_;
     Index nxl_ = 0, nyl_ = 0;
     std::vector<std::unique_ptr<Rank>> ranks_;
-    // Concurrent-mode machinery (null in lockstep mode).
+    // One task worker, halo channel set and private pool per rank.
     std::unique_ptr<TaskLayer> tasks_;
     std::unique_ptr<HaloExchanger<T>> exchanger_;
     std::vector<std::unique_ptr<ThreadPool>> pools_;
     StepHooks step_hooks_;
-    typename StepHooks::Handle shim_handle_ = 0;
     // Resilience machinery (inert when mdcfg_.resilience.enabled is off).
     resilience::FaultInjector injector_;
     resilience::Watchdog<T> watchdog_;

@@ -776,7 +776,8 @@ class AcousticStepper {
     /// three updates in one streaming pass so the shared dw/dv3 operands
     /// are read once and the density update rides in the theta kernel's
     /// window; per-cell arithmetic is unchanged, so both variants are
-    /// bitwise identical (asserted by tests/test_multidomain_overlap).
+    /// bitwise identical (asserted by tests/test_multidomain.cpp: the
+    /// decomposed runner fuses, the single-domain stepper does not).
     void update_after_implicit() {
         const Index nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
         if (cfg_.fuse_density_theta) {

@@ -89,24 +89,18 @@ void continuity_tendency(const Grid<T>& grid, const MassFluxes<T>& flux,
     });
 }
 
-/// Limited advection of a cell-centered scalar carried as rho*phi over
-/// rows [j0, j1) only. Region-restricted entry point for the overlapped
-/// multi-domain runner: cell row j reads phi rows j-2 .. j+2, so rows
-/// [halo, ny - halo) can be advected before the y-direction halo
-/// exchange of rhophi lands, overlapping the tracer's halo transfer with
-/// its own interior compute (paper Sec. V-A methods 1+2). Row regions
-/// are disjoint with identical per-cell arithmetic, so any partition is
-/// bitwise identical to the full-range call.
+/// Limited advection of a cell-centered scalar carried as rho*phi.
+/// `rho` supplies the specific value phi = (rho*phi)/rho at cells.
 template <class T>
-void advect_scalar_rows(const Grid<T>& grid, const MassFluxes<T>& flux,
-                        const Array3<T>& rho, const Array3<T>& rhophi,
-                        Array3<T>& tend, Index j0, Index j1) {
-    const Index nx = grid.nx(), nz = grid.nz();
+void advect_scalar(const Grid<T>& grid, const MassFluxes<T>& flux,
+                   const Array3<T>& rho, const Array3<T>& rhophi,
+                   Array3<T>& tend) {
+    const Index nx = grid.nx(), ny = grid.ny(), nz = grid.nz();
     const T rdx = T(1.0 / grid.dx());
     const T rdy = T(1.0 / grid.dy());
     const auto& jc = grid.jacobian();
 
-    parallel_for_range(j0, j1, [&](Index jb, Index je) {
+    parallel_for(ny, [&](Index jb, Index je) {
         detail::PlaneRing<T> phi(nx, nz);
         auto fill_plane = [&](Index jj) {
             auto& p = phi.plane(jj);
@@ -184,15 +178,6 @@ void advect_scalar_rows(const Grid<T>& grid, const MassFluxes<T>& flux,
             yf_lo.swap(yf_hi);
         }
     });
-}
-
-/// Limited advection of a cell-centered scalar carried as rho*phi.
-/// `rho` supplies the specific value phi = (rho*phi)/rho at cells.
-template <class T>
-void advect_scalar(const Grid<T>& grid, const MassFluxes<T>& flux,
-                   const Array3<T>& rho, const Array3<T>& rhophi,
-                   Array3<T>& tend) {
-    advect_scalar_rows(grid, flux, rho, rhophi, tend, Index(0), grid.ny());
 }
 
 /// Advection of rho*u on its x-face control volumes.

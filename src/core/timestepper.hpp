@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <utility>
 
 #include "src/core/acoustic.hpp"
@@ -72,20 +71,6 @@ class TimeStepper {
     /// attach here concurrently — see src/observability/step_hooks.hpp.
     using StepHooks = obs::StepHooks<const State<T>&>;
     StepHooks& step_hooks() { return step_hooks_; }
-
-    /// Deprecated single-observer shim over step_hooks(): setting an
-    /// observer replaces only the shim's own subscription (other
-    /// subscribers keep firing); nullptr detaches it. New code should
-    /// use step_hooks().add()/remove() directly.
-    using StepObserver = std::function<void(const State<T>&)>;
-    [[deprecated("use step_hooks().add()/remove()")]]
-    void set_step_observer(StepObserver observer) {
-        if (shim_handle_ != 0) {
-            step_hooks_.remove(shim_handle_);
-            shim_handle_ = 0;
-        }
-        if (observer) shim_handle_ = step_hooks_.add(std::move(observer));
-    }
 
     /// Advance `state` by one long step dt.
     ///
@@ -146,21 +131,6 @@ class TimeStepper {
     /// Assemble the slow-mode tendencies at the given (BC-consistent)
     /// state. Public so tests and the FLOP calibration can call it alone.
     void compute_slow_tendencies(const State<T>& bar, Tendencies<T>& slow) {
-        compute_slow_tendencies_dynamic(bar, slow);
-        for (std::size_t n = 0; n < bar.tracers.size(); ++n) {
-            advect_tracer_rows(bar, slow, n, 0, grid_.ny());
-        }
-    }
-
-    /// The dynamic (non-tracer) part of the slow tendencies. The tracer
-    /// advections are separable because each writes only its own
-    /// slow.tracers[n] and no dynamic kernel (including diffusion) touches
-    /// those arrays; the pipelined multi-domain runner interleaves them
-    /// with the per-tracer y-halo receives (paper Sec. V-A method 1,
-    /// inter-variable pipelining), which is therefore bitwise identical to
-    /// this sequential order.
-    void compute_slow_tendencies_dynamic(const State<T>& bar,
-                                         Tendencies<T>& slow) {
         const Index nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
         const auto vol = static_cast<std::uint64_t>(nx * ny * nz);
         slow.clear();
@@ -246,21 +216,13 @@ class TimeStepper {
                               vol);
             pgf_z_buoyancy(grid_, p_pert_, rho_pert_, slow.rhow);
         }
-    }
-
-    /// Advection tendency of tracer n over rows [j0, j1). Cell row j reads
-    /// tracer rows j-2..j+2, so the pipelined runner advances the interior
-    /// rows [halo, ny - halo) before that tracer's y halo lands, and the
-    /// two boundary bands after (paper Sec. V-A methods 1+2). Requires the
-    /// mass fluxes from the dynamic pass.
-    void advect_tracer_rows(const State<T>& bar, Tendencies<T>& slow,
-                            std::size_t n, Index j0, Index j1) {
-        KernelScope scope(
-            "advection_" + std::string(name_of(bar.species.at(n))),
-            {/*reads=*/6, /*writes=*/1, 36},
-            static_cast<std::uint64_t>(grid_.nx() * (j1 - j0) * grid_.nz()));
-        advect_scalar_rows(grid_, fluxes_, bar.rho, bar.tracers[n],
-                           slow.tracers[n], j0, j1);
+        for (std::size_t n = 0; n < bar.tracers.size(); ++n) {
+            KernelScope scope(
+                "advection_" + std::string(name_of(bar.species.at(n))),
+                {/*reads=*/6, /*writes=*/1, 36}, vol);
+            advect_scalar(grid_, fluxes_, bar.rho, bar.tracers[n],
+                          slow.tracers[n]);
+        }
     }
 
     // --- hooks for multi-domain (decomposed) orchestration -------------
@@ -363,7 +325,6 @@ class TimeStepper {
     bool work_synced_ = false;
     Array3<T> p_pert_, rho_pert_;
     StepHooks step_hooks_;
-    typename StepHooks::Handle shim_handle_ = 0;
 };
 
 }  // namespace asuca

@@ -15,10 +15,7 @@
 //
 // Subscribers fire in subscription order (deterministic, so a ledger
 // that must observe before a snapshotter simply subscribes first), and
-// removal by handle is O(#subscribers). The drivers keep a deprecated
-// `set_step_observer` shim that owns one subscription, so legacy
-// callers keep exactly their old semantics (set replaces, nullptr
-// detaches) without blocking anyone else's hook.
+// removal by handle is O(#subscribers).
 //
 // Thread-safety: none needed — hooks are driver-side state, mutated
 // and fired from the step() caller's thread only (both drivers already

@@ -113,7 +113,10 @@ class TaskLayer {
             }
             {
                 std::lock_guard lock(mutex_);
-                if (err) errors_.emplace_back(index, err);
+                // Moved, not copied: a copy left here would drop its
+                // reference after the unlock, racing the caller that
+                // already owns (and may free) the exception.
+                if (err) errors_.emplace_back(index, std::move(err));
                 if (--remaining_ == 0) cv_done_.notify_all();
             }
         }

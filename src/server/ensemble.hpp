@@ -185,15 +185,10 @@ inline ForecastResult run_forecast(const ScenarioSpec& spec,
         }
     } else {
         // Decomposed dry run: cold-initialize a single-domain state, then
-        // integrate it on the px x py runner in the requested overlap mode.
+        // integrate it on the px x py runner.
         AsucaModel<double> seed_model(cfg);
         init_model(seed_model, spec);
         cluster::MultiDomainConfig md;
-        if (spec.overlap == "split") {
-            md.overlap = cluster::OverlapMode::Split;
-        } else if (spec.overlap == "pipeline") {
-            md.overlap = cluster::OverlapMode::SplitPipeline;
-        }
         if (!spec.inject.empty()) {
             // Injection arms the resilience policy with a rollback point
             // after every committed step. "halo" and "nan" are transient

@@ -59,11 +59,10 @@
 //     and a RESTARTED server answers a repeat query from disk —
 //     served_from == "durable", fingerprint bitwise identical to the
 //     live run — without re-integrating anything.
-//   * API: the primary entry point is the wire envelope —
+//   * API: the entry point is the wire envelope —
 //     submit(wire::ForecastRequestV1) — shared with the out-of-process
-//     front-end (socket_server.hpp); submit(ScenarioSpec) survives as a
-//     deprecated shim. Every failure carries a typed ErrorCode from the
-//     scenario.hpp taxonomy.
+//     front-end (socket_server.hpp). Every failure carries a typed
+//     ErrorCode from the scenario.hpp taxonomy.
 //   * Observability: per-request TraceSpans ("server" category),
 //     server.* gauges/histograms (capacity, queue_depth, latency_us)
 //     through the existing TraceRecorder / MetricsRegistry — and ONE
@@ -326,7 +325,7 @@ class ForecastServer {
         return quarantined_[w].load(std::memory_order_acquire);
     }
 
-    /// Submit one envelope request — the primary API, shared with the
+    /// Submit one envelope request — the API shared with the
     /// out-of-process front-end. Never blocks on execution — returns a
     /// handle immediately (after any backpressure wait for a queue
     /// slot). Throws asuca::Error (a bad_request to the wire layer)
@@ -335,15 +334,6 @@ class ForecastServer {
     ForecastHandle submit(const wire::ForecastRequestV1& req) {
         return submit_spec(req.spec,
                            std::chrono::milliseconds(req.deadline_ms));
-    }
-
-    /// Pre-envelope shim: the C++-object surface every caller used
-    /// before the wire API existed. Same execution path; no per-request
-    /// deadline override.
-    [[deprecated("use submit(wire::ForecastRequestV1) — the envelope "
-                 "API")]]
-    ForecastHandle submit(const ScenarioSpec& spec) {
-        return submit_spec(spec, std::chrono::milliseconds{0});
     }
 
     /// Fork a stored checkpoint into n_members perturbed member requests
@@ -449,9 +439,9 @@ class ForecastServer {
     }
 
   private:
-    /// The shared execution path behind both submit() overloads and
-    /// submit_ensemble(). deadline_override > 0 replaces the config's
-    /// per-request deadline budget for this request.
+    /// The shared execution path behind submit() and submit_ensemble().
+    /// deadline_override > 0 replaces the config's per-request deadline
+    /// budget for this request.
     ForecastHandle submit_spec(const ScenarioSpec& spec,
                                std::chrono::milliseconds deadline_override) {
         const ScenarioSpec canon = canonicalize(spec);

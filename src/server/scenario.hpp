@@ -7,9 +7,9 @@
 // perturbation. Two specs that describe the same forecast product must
 // produce the same canonical key — canonicalize() normalizes every field
 // that cannot influence the result (a perturbation seed with zero
-// amplitude, an overlap mode on a 1x1 decomposition, a physics flag on a
-// scenario that fixes it) so the request cache keys on meaning, not on
-// how the client happened to fill the struct.
+// amplitude, a physics flag on a scenario that fixes it) so the request
+// cache keys on meaning, not on how the client happened to fill the
+// struct.
 //
 // Degradation ladder (admission control under load, coarse before gone):
 //   level 0 — as requested;
@@ -42,7 +42,6 @@ struct ScenarioSpec {
     bool physics = false;   ///< warm-rain microphysics (mountain_wave only;
                             ///< real_case forces on, warm_bubble forces off)
     Index px = 1, py = 1;   ///< >1x1: decomposed dycore run (dry only)
-    std::string overlap = "none";  ///< none|split|pipeline (decomposed runs)
     /// Warm start: key of a checkpoint blob in the server's store; empty
     /// runs the scenario's cold initialization.
     std::string warm_start;
@@ -74,6 +73,17 @@ inline bool known_scenario(const std::string& s) {
     return s == "warm_bubble" || s == "mountain_wave" || s == "real_case";
 }
 
+/// Whether the px x py decomposition splits the mesh at coarsening level
+/// `coarsen` evenly into subdomains at least one halo wide — the
+/// MultiDomainRunner's floor, checked here so a request below it is a
+/// bad_request instead of a failure on a worker.
+inline bool decomposable(const ScenarioSpec& s, int coarsen) {
+    const Index nx = s.nx >> coarsen, ny = s.ny >> coarsen;
+    const Index h = GridSpec{}.halo;
+    return nx % s.px == 0 && ny % s.py == 0 && nx / s.px >= h &&
+           ny / s.py >= h;
+}
+
 /// Normalize every semantically-irrelevant field (see header comment).
 /// Validates the spec; throws Error on nonsense the server cannot run.
 inline ScenarioSpec canonicalize(ScenarioSpec s) {
@@ -88,12 +98,12 @@ inline ScenarioSpec canonicalize(ScenarioSpec s) {
                   "bad coarsen level " << s.coarsen);
     if (s.scenario == "warm_bubble") s.physics = false;
     if (s.scenario == "real_case") s.physics = true;
-    if (s.px * s.py == 1) {
-        s.overlap = "none";
-    } else {
-        ASUCA_REQUIRE(s.overlap == "none" || s.overlap == "split" ||
-                          s.overlap == "pipeline",
-                      "unknown overlap mode '" << s.overlap << "'");
+    if (s.px * s.py > 1) {
+        ASUCA_REQUIRE(decomposable(s, s.coarsen),
+                      "decomposition " << s.px << "x" << s.py
+                                       << " does not split the mesh into "
+                                          "subdomains of at least "
+                                       << GridSpec{}.halo << " cells");
         ASUCA_REQUIRE(!s.physics,
                       "decomposed requests run the dry dycore only");
         ASUCA_REQUIRE(s.warm_start.empty(),
@@ -102,13 +112,8 @@ inline ScenarioSpec canonicalize(ScenarioSpec s) {
     ASUCA_REQUIRE(s.inject.empty() || s.inject == "halo" ||
                       s.inject == "nan" || s.inject == "stall",
                   "unknown injection '" << s.inject << "'");
-    if (!s.inject.empty()) {
-        ASUCA_REQUIRE(s.px * s.py > 1,
-                      "fault injection needs a decomposed run (px*py > 1)");
-        ASUCA_REQUIRE(s.inject == "nan" || s.overlap != "none",
-                      "'" << s.inject << "' injection needs halo channels "
-                          << "(overlap split|pipeline)");
-    }
+    ASUCA_REQUIRE(s.inject.empty() || s.px * s.py > 1,
+                  "fault injection needs a decomposed run (px*py > 1)");
     if (s.warm_start.empty() || s.perturb_amplitude == 0.0) {
         // No fork: the perturbation fields cannot influence the result.
         s.member = 0;
@@ -129,8 +134,7 @@ inline std::string canonical_key(const ScenarioSpec& s) {
            "x" + std::to_string(s.nz);
     key += "|steps=" + std::to_string(s.steps);
     key += "|phys=" + std::to_string(s.physics ? 1 : 0);
-    key += "|decomp=" + std::to_string(s.px) + "x" + std::to_string(s.py) +
-           ":" + s.overlap;
+    key += "|decomp=" + std::to_string(s.px) + "x" + std::to_string(s.py);
     key += "|warm=" + s.warm_start;
     key += "|member=" + std::to_string(s.member);
     key += "|seed=" + std::to_string(s.perturb_seed);
@@ -144,9 +148,8 @@ inline std::string canonical_key(const ScenarioSpec& s) {
 /// (stays even-divisible, above the minimum extent, and decomposable).
 inline bool can_coarsen(const ScenarioSpec& s) {
     const Index f = Index(1) << (s.coarsen + 1);
-    const Index nx = s.nx / f, ny = s.ny / f;
-    return s.nx % f == 0 && s.ny % f == 0 && nx >= 8 && ny >= 8 &&
-           nx % s.px == 0 && ny % s.py == 0;
+    return s.nx % f == 0 && s.ny % f == 0 && s.nx / f >= 8 &&
+           s.ny / f >= 8 && decomposable(s, s.coarsen + 1);
 }
 
 /// Highest level of the ladder this spec supports (grid too small or not

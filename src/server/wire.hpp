@@ -42,10 +42,10 @@
 namespace asuca::server::wire {
 
 inline constexpr int kWireVersion = 1;
-/// Longest string any wire field accepts. Scenario names, overlap modes
-/// and error codes are all short enumerations; warm-start keys are
-/// canonical_key-sized. Anything longer is a malformed (or malicious)
-/// frame, rejected before it can bloat the queue or the stores.
+/// Longest string any wire field accepts. Scenario names and error codes
+/// are short enumerations; warm-start keys are canonical_key-sized.
+/// Anything longer is a malformed (or malicious) frame, rejected before
+/// it can bloat the queue or the stores.
 inline constexpr std::size_t kMaxWireString = 256;
 
 /// A typed wire-layer failure: what a response's "error" member carries,
@@ -214,7 +214,6 @@ inline io::JsonValue spec_to_json(const ScenarioSpec& s) {
     j.set("physics", s.physics);
     j.set("px", static_cast<long long>(s.px));
     j.set("py", static_cast<long long>(s.py));
-    j.set("overlap", s.overlap);
     j.set("warm_start", s.warm_start);
     j.set("member", s.member);
     j.set("perturb_seed", detail::u64_to_string(s.perturb_seed));
@@ -255,7 +254,14 @@ inline ScenarioSpec spec_from_json(const io::JsonValue& j) {
             (key == "px" ? s.px : s.py) =
                 static_cast<Index>(detail::get_int(v, key, 1, 4096));
         } else if (key == "overlap") {
-            s.overlap = detail::get_string(v, key);
+            // Retired field (the runner has one schedule): v1 frames and
+            // durable results that still carry it parse, and it is
+            // dropped; only the three names it ever took are accepted.
+            const std::string mode = detail::get_string(v, key);
+            if (mode != "none" && mode != "split" && mode != "pipeline") {
+                detail::reject("field \"overlap\" must be none, split or "
+                               "pipeline");
+            }
         } else if (key == "warm_start") {
             s.warm_start = detail::get_string(v, key);
         } else if (key == "member") {

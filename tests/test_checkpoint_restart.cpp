@@ -9,14 +9,19 @@
 // truncated file, a corrupted section header, a bit-flipped payload (v3
 // per-section checksums) and a wrong-version header must all be rejected
 // with a clean asuca::Error AND leave the destination state bitwise
-// untouched (load_checkpoint is transactional).
+// untouched (load_checkpoint is transactional). The multi-rank file is
+// one wrapped blob (magic, length, checksum) written by atomic rename;
+// a truncated or bit-flipped one must leave every rank untouched.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <sstream>
+#include <vector>
 
 #include "src/cluster/multidomain.hpp"
 #include "src/core/diagnostics.hpp"
@@ -38,6 +43,29 @@ void expect_bitwise(const State<double>& a, const State<double>& b) {
     ASSERT_EQ(a.tracers.size(), b.tracers.size());
     for (std::size_t n = 0; n < a.tracers.size(); ++n) {
         EXPECT_EQ(max_abs_diff(a.tracers[n], b.tracers[n]), 0.0);
+    }
+}
+
+/// Bitwise equality of every array of two states, halos included.
+void expect_padded_bitwise(const State<double>& a, const State<double>& b) {
+    const auto eq = [](const Array3<double>& x, const Array3<double>& y) {
+        ASSERT_EQ(x.size(), y.size());
+        EXPECT_EQ(std::memcmp(x.data(), y.data(), x.size() * sizeof(double)),
+                  0);
+    };
+    eq(a.rho, b.rho);
+    eq(a.rhou, b.rhou);
+    eq(a.rhov, b.rhov);
+    eq(a.rhow, b.rhow);
+    eq(a.rhotheta, b.rhotheta);
+    eq(a.p, b.p);
+    eq(a.rho_ref, b.rho_ref);
+    eq(a.p_ref, b.p_ref);
+    eq(a.rhotheta_ref, b.rhotheta_ref);
+    eq(a.cs2, b.cs2);
+    ASSERT_EQ(a.tracers.size(), b.tracers.size());
+    for (std::size_t n = 0; n < a.tracers.size(); ++n) {
+        eq(a.tracers[n], b.tracers[n]);
     }
 }
 
@@ -151,9 +179,7 @@ TEST(CheckpointRestart, RejectsMismatchedSideState) {
 }
 
 TEST(CheckpointRestart, Decomposed2x2RoundTripIsBitwise) {
-    using cluster::MultiDomainConfig;
     using cluster::MultiDomainRunner;
-    using cluster::OverlapMode;
     const auto path = fs::temp_directory_path() / "asuca_restart_2x2.bin";
 
     GridSpec spec;
@@ -179,9 +205,7 @@ TEST(CheckpointRestart, Decomposed2x2RoundTripIsBitwise) {
     set_relative_humidity(
         grid, [](double z) { return z < 2000.0 ? 0.8 : 0.3; }, initial);
 
-    MultiDomainConfig md;
-    md.overlap = OverlapMode::Split;
-    MultiDomainRunner<double> a(spec, 2, 2, species, cfg, md);
+    MultiDomainRunner<double> a(spec, 2, 2, species, cfg);
     a.scatter(initial);
     for (int n = 0; n < 4; ++n) a.step();
     a.save_checkpoint(path.string());
@@ -190,10 +214,10 @@ TEST(CheckpointRestart, Decomposed2x2RoundTripIsBitwise) {
     a.gather(ref);
 
     // A mismatched decomposition must be rejected before any load.
-    MultiDomainRunner<double> wrong(spec, 1, 2, species, cfg, md);
+    MultiDomainRunner<double> wrong(spec, 1, 2, species, cfg);
     EXPECT_THROW(wrong.load_checkpoint(path.string()), Error);
 
-    MultiDomainRunner<double> b(spec, 2, 2, species, cfg, md);
+    MultiDomainRunner<double> b(spec, 2, 2, species, cfg);
     b.scatter(initial);  // different history: still at step 0
     b.load_checkpoint(path.string());
     EXPECT_EQ(b.step_index(), 4);
@@ -365,9 +389,15 @@ TEST_F(CheckpointRestartNegative, WrongVersionHeaderRejected) {
     expect_rejected_without_mutation(bad, "version");
 }
 
-TEST(CheckpointRestartNegativeMultiDomain, TruncatedFileLeavesRanksIntact) {
+/// Damage a valid 2x1 checkpoint with `damage`, load it into a runner
+/// with a different history, and require a clean Error with every rank's
+/// full padded state (halos and reference fields included) bitwise
+/// untouched; the intact file must still restore afterwards.
+void expect_damaged_multidomain_load_rejected(
+    const char* name, const std::function<std::string(std::string)>& damage) {
     using cluster::MultiDomainRunner;
-    const auto path = fs::temp_directory_path() / "asuca_ckpt_neg_md.bin";
+    const auto path = fs::temp_directory_path() /
+                      (std::string("asuca_ckpt_neg_md_") + name + ".bin");
 
     GridSpec spec;
     spec.nx = 16;
@@ -387,21 +417,21 @@ TEST(CheckpointRestartNegativeMultiDomain, TruncatedFileLeavesRanksIntact) {
     a.scatter(initial);
     a.step();
     a.save_checkpoint(path.string());
-
-    // Truncate inside the second rank's section: rank 0 parses fully, so
-    // only a transactional load can leave rank 0 untouched.
     const std::string bytes = slurp(path);
-    spit(path, bytes.substr(0, bytes.size() * 3 / 4));
+    spit(path, damage(bytes));
 
     MultiDomainRunner<double> b(spec, 2, 1, species, cfg);
     b.scatter(initial);  // different history: still at step 0
-    State<double> before(grid, species);
-    b.gather(before);
+    std::vector<State<double>> before;
+    for (Index r = 0; r < b.rank_count(); ++r) {
+        before.push_back(b.rank_state(r));
+    }
     EXPECT_THROW(b.load_checkpoint(path.string()), Error);
     EXPECT_EQ(b.step_index(), 0);
-    State<double> after(grid, species);
-    b.gather(after);
-    expect_bitwise(before, after);
+    for (Index r = 0; r < b.rank_count(); ++r) {
+        expect_padded_bitwise(before[static_cast<std::size_t>(r)],
+                              b.rank_state(r));
+    }
 
     // And b still works: the intact original restores and matches a.
     spit(path, bytes);
@@ -413,6 +443,23 @@ TEST(CheckpointRestartNegativeMultiDomain, TruncatedFileLeavesRanksIntact) {
     a.gather(ref);
     expect_bitwise(ref, got);
     fs::remove(path);
+}
+
+TEST(CheckpointRestartNegativeMultiDomain, TruncatedFileLeavesRanksIntact) {
+    // Cut inside the second rank's section: rank 0's section is whole,
+    // so only a transactional load leaves rank 0 untouched.
+    expect_damaged_multidomain_load_rejected("truncated", [](std::string b) {
+        return b.substr(0, b.size() * 3 / 4);
+    });
+}
+
+TEST(CheckpointRestartNegativeMultiDomain, BitFlippedFileLeavesRanksIntact) {
+    // One flipped bit in the second rank's payload: every length still
+    // parses, only a checksum can catch it.
+    expect_damaged_multidomain_load_rejected("bitflip", [](std::string b) {
+        b[b.size() * 3 / 4] = static_cast<char>(b[b.size() * 3 / 4] ^ 0x01);
+        return b;
+    });
 }
 
 }  // namespace

@@ -78,7 +78,6 @@ ScenarioSpec decomposed_spec(int steps = 2) {
     ScenarioSpec s = small_spec(steps);
     s.px = 2;
     s.py = 2;
-    s.overlap = "split";
     return s;
 }
 
@@ -315,7 +314,6 @@ TEST(DurableSnapshot, GuardedRecoveryIsBitwiseWithAndWithoutIncremental) {
     init_model(seed_model, spec);
     for (const bool incremental : {false, true}) {
         cluster::MultiDomainConfig md;
-        md.overlap = cluster::OverlapMode::Split;
         md.resilience.enabled = true;
         md.resilience.checkpoint_interval = 1;
         md.resilience.incremental_snapshots = incremental;

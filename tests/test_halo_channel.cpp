@@ -130,7 +130,7 @@ Array3<double> make_rank_field(Index rx, Index ry, Index px, Index py,
 /// Drive a full exchange of one field family across all ranks in the
 /// four bulk phases (all posts, then all receives, per direction) and
 /// verify every halo cell — corners included — equals the periodic wrap
-/// of the global pattern, exactly what the lockstep runner produces.
+/// of the global pattern, exactly what the single-domain fill produces.
 void check_exchanged_halos(Index sx, Index sy) {
     const Index px = 2, py = 2;
     HaloExchanger<double> ex(px, py, kNxl, kNyl);

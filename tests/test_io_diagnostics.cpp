@@ -15,9 +15,14 @@ namespace {
 
 namespace fs = std::filesystem;
 
+/// Unique per test: each TEST is its own ctest process, and two of them
+/// sharing one directory race on its removal under ctest -j.
 struct TempDir {
     fs::path path;
-    TempDir() : path(fs::temp_directory_path() / "asuca_io_test") {
+    TempDir()
+        : path(fs::temp_directory_path() /
+               (std::string("asuca_io_test_") +
+                ::testing::UnitTest::GetInstance()->current_test_info()->name())) {
         fs::create_directories(path);
     }
     ~TempDir() { fs::remove_all(path); }

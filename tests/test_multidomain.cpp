@@ -1,7 +1,13 @@
 // Multi-domain equivalence: a decomposed run with real halo exchanges
 // must reproduce the single-domain run to machine precision — the
 // decomposition analog of the paper's round-off-level CPU/GPU agreement.
+// The runner's overlap methods (kernel division, density-theta fusion)
+// change only WHEN work happens, never what is computed, so every shape,
+// rank-pool width and step count lands on the single-domain bits.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
 
 #include "src/cluster/multidomain.hpp"
 #include "src/core/diagnostics.hpp"
@@ -42,14 +48,11 @@ void init_case(const Grid<double>& grid, const SpeciesSet& species,
     }
 }
 
-struct DecompShape {
-    Index px, py;
-};
-
-class MultiDomainShapes : public ::testing::TestWithParam<DecompShape> {};
-
-TEST_P(MultiDomainShapes, MatchesSingleDomainBitwise) {
-    const auto shape = GetParam();
+/// Runs `steps` long steps single-domain and decomposed into px x py
+/// ranks (each with a `threads_per_rank` j-slab pool) from the same
+/// initial state and expects every prognostic field bitwise equal.
+void expect_matches_single_domain(Index px, Index py,
+                                  std::size_t threads_per_rank, int steps) {
     const auto spec = make_global(
         bell_mountain(350.0, 3000.0, 12000.0, 6000.0));
     const auto cfg = make_stepper_cfg();
@@ -61,12 +64,14 @@ TEST_P(MultiDomainShapes, MatchesSingleDomainBitwise) {
     init_case(grid, species, ref);
     TimeStepper<double> stepper(grid, species, cfg);
     State<double> initial = ref;
-    for (int n = 0; n < 3; ++n) stepper.step(ref);
+    for (int n = 0; n < steps; ++n) stepper.step(ref);
 
     // Decomposed run from the same initial state.
-    MultiDomainRunner<double> runner(spec, shape.px, shape.py, species, cfg);
+    MultiDomainConfig md;
+    md.threads_per_rank = threads_per_rank;
+    MultiDomainRunner<double> runner(spec, px, py, species, cfg, md);
     runner.scatter(initial);
-    for (int n = 0; n < 3; ++n) runner.step();
+    for (int n = 0; n < steps; ++n) runner.step();
     State<double> gathered(grid, species);
     runner.gather(gathered);
 
@@ -75,19 +80,76 @@ TEST_P(MultiDomainShapes, MatchesSingleDomainBitwise) {
     EXPECT_EQ(max_abs_diff(ref.rhov, gathered.rhov), 0.0);
     EXPECT_EQ(max_abs_diff(ref.rhow, gathered.rhow), 0.0);
     EXPECT_EQ(max_abs_diff(ref.rhotheta, gathered.rhotheta), 0.0);
+    EXPECT_EQ(max_abs_diff(ref.p, gathered.p), 0.0);
     for (std::size_t n = 0; n < species.count(); ++n) {
         EXPECT_EQ(max_abs_diff(ref.tracers[n], gathered.tracers[n]), 0.0);
     }
 }
 
+struct DecompShape {
+    Index px, py;
+};
+
+class MultiDomainShapes : public ::testing::TestWithParam<DecompShape> {};
+
+TEST_P(MultiDomainShapes, MatchesSingleDomainBitwise) {
+    const auto shape = GetParam();
+    expect_matches_single_domain(shape.px, shape.py, 1, 3);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Shapes, MultiDomainShapes,
+    // 4x3 and 3x4 have local extents below two halos (4 and 3 rows),
+    // where the kernel frame clamps.
     ::testing::Values(DecompShape{2, 1}, DecompShape{1, 2}, DecompShape{2, 2},
                       DecompShape{4, 3}, DecompShape{3, 4}),
     [](const auto& info) {
         return std::to_string(info.param.px) + "x" +
                std::to_string(info.param.py);
     });
+
+/// The rank-pool cases of the Sec. V-A overlap suite. The names are the
+/// ones the cases were introduced under, when the runner had three
+/// schedules and these were checked against its lockstep one; that
+/// schedule reproduced the single-domain stepper bit for bit, which is
+/// the reference now. Every case runs the runner's one program (kernel
+/// division + fusion): `split` cases with two j-slab threads per rank,
+/// `pipeline` cases (named for the retired tracer pipeline) with three,
+/// so each shape is covered at two pool widths.
+struct OverlapCase {
+    Index px, py;
+    std::int32_t threads_per_rank;
+    std::int32_t steps;
+};
+
+class MultiDomainOverlap : public ::testing::TestWithParam<OverlapCase> {};
+
+TEST_P(MultiDomainOverlap, BitwiseIdenticalToLockstep) {
+    const auto c = GetParam();
+    expect_matches_single_domain(
+        c.px, c.py, static_cast<std::size_t>(c.threads_per_rank), c.steps);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, MultiDomainOverlap,
+    ::testing::Values(
+        OverlapCase{2, 1, 2, 2}, OverlapCase{2, 1, 3, 2},
+        OverlapCase{1, 2, 2, 2}, OverlapCase{1, 2, 3, 2},
+        OverlapCase{2, 2, 2, 1}, OverlapCase{2, 2, 2, 3},
+        OverlapCase{2, 2, 3, 1}, OverlapCase{2, 2, 3, 3},
+        OverlapCase{4, 2, 2, 2}, OverlapCase{4, 2, 3, 2}),
+    [](const auto& info) {
+        const OverlapCase& c = info.param;
+        return std::to_string(c.px) + "x" + std::to_string(c.py) +
+               (c.threads_per_rank == 2 ? "_split_" : "_pipeline_") +
+               std::to_string(c.steps) + "step";
+    });
+
+TEST(MultiDomainOverlap, MatchesSingleDomainBitwise) {
+    // A longer run than the cases above: eight long steps at 2x2 with
+    // two j-slab threads per rank.
+    expect_matches_single_domain(2, 2, 2, 8);
+}
 
 TEST(MultiDomain, ScatterGatherRoundTrips) {
     const auto spec = make_global(flat_terrain());
@@ -136,6 +198,18 @@ TEST(MultiDomain, ExchangedHalosEqualPeriodicWrap) {
 TEST(MultiDomain, RejectsIndivisibleDecomposition) {
     const auto spec = make_global(flat_terrain());
     EXPECT_THROW(MultiDomainRunner<double>(spec, 5, 1, SpeciesSet::dry(),
+                                           make_stepper_cfg()),
+                 Error);
+}
+
+TEST(MultiDomain, RejectsSubdomainsSmallerThanHalo) {
+    const auto spec = make_global(flat_terrain());
+    // 12 / 6 = 2 rows and 24 / 12 = 2 columns per rank, below the halo
+    // width (3): a halo strip would have to span two neighbors.
+    EXPECT_THROW(MultiDomainRunner<double>(spec, 1, 6, SpeciesSet::dry(),
+                                           make_stepper_cfg()),
+                 Error);
+    EXPECT_THROW(MultiDomainRunner<double>(spec, 12, 1, SpeciesSet::dry(),
                                            make_stepper_cfg()),
                  Error);
 }

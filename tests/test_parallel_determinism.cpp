@@ -57,11 +57,12 @@ TEST(ParallelDeterminism, StepIsBitIdenticalAcrossThreadCounts) {
     }
 }
 
-// The two parallel substrates composed: a 2x2 MultiDomain run on a
-// 4-thread pool must agree bitwise with the single-domain run on a
-// 1-thread pool. This crosses thread-count determinism with
-// decomposition equivalence in one shot — a reduction reordered by either
-// substrate, or a halo exchange racing the j-slab kernels, breaks it.
+// The two parallel substrates composed: a 2x2 MultiDomain run with a
+// 4-thread j-slab pool inside every rank must agree bitwise with the
+// single-domain run on a 1-thread pool. This crosses thread-count
+// determinism with decomposition equivalence in one shot — a reduction
+// reordered by either substrate, or a halo exchange racing the j-slab
+// kernels, breaks it.
 TEST(ParallelDeterminism, MultiDomainFourThreadsMatchesSingleDomainSerial) {
     GridSpec spec;
     spec.nx = 24;
@@ -95,14 +96,17 @@ TEST(ParallelDeterminism, MultiDomainFourThreadsMatchesSingleDomainSerial) {
     TimeStepper<double> stepper(grid, species, scfg);
     for (int n = 0; n < steps; ++n) stepper.step(single);
 
-    // 2x2 decomposition on four threads, from the same initial state.
-    ThreadPool::set_global_threads(4);
-    cluster::MultiDomainRunner<double> runner(spec, 2, 2, species, scfg);
+    ThreadPool::set_global_threads(0);  // restore the default pool
+
+    // 2x2 decomposition, four threads per rank, from the same initial
+    // state.
+    cluster::MultiDomainConfig md;
+    md.threads_per_rank = 4;
+    cluster::MultiDomainRunner<double> runner(spec, 2, 2, species, scfg, md);
     runner.scatter(initial);
     for (int n = 0; n < steps; ++n) runner.step();
     State<double> gathered(grid, species);
     runner.gather(gathered);
-    ThreadPool::set_global_threads(0);  // restore the default pool
 
     ASSERT_TRUE(state_is_finite(single));  // NaNs would vacuously "agree"
     EXPECT_EQ(max_abs_diff(single.rho, gathered.rho), 0.0);

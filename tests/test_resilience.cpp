@@ -334,9 +334,8 @@ TEST(WatchdogReport, FlagsCflExcursionAndMassDrift) {
 // Runner-level recovery.
 // ---------------------------------------------------------------------
 
-MultiDomainConfig resilient_config(OverlapMode mode, FaultPlan faults = {}) {
+MultiDomainConfig resilient_config(FaultPlan faults = {}) {
     MultiDomainConfig md;
-    md.overlap = mode;
     md.threads_per_rank = 1;
     md.resilience.enabled = true;
     md.resilience.checkpoint_interval = 1;
@@ -354,31 +353,26 @@ TEST(ResilienceRecovery, GuardedRunIsBitwiseIdenticalToUnguarded) {
     State<double> initial(grid, species);
     init_case(grid, species, initial);
 
-    for (OverlapMode mode :
-         {OverlapMode::Split, OverlapMode::SplitPipeline}) {
-        MultiDomainConfig plain;
-        plain.overlap = mode;
-        MultiDomainRunner<double> unguarded(spec, 2, 2, species, cfg, plain);
-        unguarded.scatter(initial);
-        for (int n = 0; n < 4; ++n) unguarded.step();
-        State<double> ref(grid, species);
-        unguarded.gather(ref);
+    MultiDomainRunner<double> unguarded(spec, 2, 2, species, cfg);
+    unguarded.scatter(initial);
+    for (int n = 0; n < 4; ++n) unguarded.step();
+    State<double> ref(grid, species);
+    unguarded.gather(ref);
 
-        // Deadlines, integrity words, watchdog scans, per-step snapshots:
-        // none of it may change a single bit of the answer.
-        auto md = resilient_config(mode);
-        md.resilience.watchdog.cfl_limit = 10.0;
-        md.resilience.watchdog.mass_drift_tol = 1.0e-6;
-        MultiDomainRunner<double> guarded(spec, 2, 2, species, cfg, md);
-        guarded.scatter(initial);
-        guarded.advance(4);
-        State<double> got(grid, species);
-        guarded.gather(got);
-        expect_bitwise(ref, got);
-        EXPECT_EQ(guarded.step_index(), 4);
-        EXPECT_TRUE(guarded.last_health_report().healthy());
-        EXPECT_EQ(guarded.recovery_log(), "");
-    }
+    // Deadlines, integrity words, watchdog scans, per-step snapshots:
+    // none of it may change a single bit of the answer.
+    auto md = resilient_config();
+    md.resilience.watchdog.cfl_limit = 10.0;
+    md.resilience.watchdog.mass_drift_tol = 1.0e-6;
+    MultiDomainRunner<double> guarded(spec, 2, 2, species, cfg, md);
+    guarded.scatter(initial);
+    guarded.advance(4);
+    State<double> got(grid, species);
+    guarded.gather(got);
+    expect_bitwise(ref, got);
+    EXPECT_EQ(guarded.step_index(), 4);
+    EXPECT_TRUE(guarded.last_health_report().healthy());
+    EXPECT_EQ(guarded.recovery_log(), "");
 }
 
 TEST(ResilienceRecovery, InjectedFieldNaNRollsBackAndReplaysBitwise) {
@@ -390,7 +384,7 @@ TEST(ResilienceRecovery, InjectedFieldNaNRollsBackAndReplaysBitwise) {
     init_case(grid, species, initial);
 
     MultiDomainRunner<double> clean(spec, 2, 2, species, cfg,
-                                    resilient_config(OverlapMode::Split));
+                                    resilient_config());
     clean.scatter(initial);
     clean.advance(5);
     State<double> ref(grid, species);
@@ -400,7 +394,7 @@ TEST(ResilienceRecovery, InjectedFieldNaNRollsBackAndReplaysBitwise) {
     plan.push_back({FaultKind::FieldNaN, 2, 2, VarId::RhoTheta, 4, 2, 3, {}});
     MultiDomainRunner<double> faulty(
         spec, 2, 2, species, cfg,
-        resilient_config(OverlapMode::Split, plan));
+        resilient_config(plan));
     faulty.scatter(initial);
     faulty.advance(5);
     State<double> got(grid, species);
@@ -423,7 +417,7 @@ TEST(ResilienceRecovery, HaloCorruptionRollsBackAndReplaysBitwise) {
 
     MultiDomainRunner<double> clean(
         spec, 2, 2, species, cfg,
-        resilient_config(OverlapMode::SplitPipeline));
+        resilient_config());
     clean.scatter(initial);
     clean.advance(4);
     State<double> ref(grid, species);
@@ -434,7 +428,7 @@ TEST(ResilienceRecovery, HaloCorruptionRollsBackAndReplaysBitwise) {
         {FaultKind::HaloCorrupt, 1, 1, VarId::RhoTheta, 0, 0, 0, {}});
     MultiDomainRunner<double> faulty(
         spec, 2, 2, species, cfg,
-        resilient_config(OverlapMode::SplitPipeline, plan));
+        resilient_config(plan));
     faulty.scatter(initial);
     faulty.advance(4);
     State<double> got(grid, species);
@@ -446,9 +440,9 @@ TEST(ResilienceRecovery, HaloCorruptionRollsBackAndReplaysBitwise) {
               std::string::npos);
 }
 
-TEST(ResilienceRecovery, LockstepFieldFaultRecoversBitwise) {
-    // The recovery policy is executor-agnostic: the serial lockstep
-    // runner rolls back and replays exactly like the concurrent one.
+TEST(ResilienceRecovery, FieldInfFaultRecoversBitwise) {
+    // An Inf (not NaN) in a dry run's density on the last rank: the same
+    // detect -> roll back -> replay path, bitwise.
     const auto spec = make_global();
     const auto cfg = make_stepper_cfg();
     const auto species = SpeciesSet::dry();
@@ -457,7 +451,7 @@ TEST(ResilienceRecovery, LockstepFieldFaultRecoversBitwise) {
     init_case(grid, species, initial);
 
     MultiDomainRunner<double> clean(spec, 2, 2, species, cfg,
-                                    resilient_config(OverlapMode::None));
+                                    resilient_config());
     clean.scatter(initial);
     clean.advance(3);
     State<double> ref(grid, species);
@@ -466,7 +460,7 @@ TEST(ResilienceRecovery, LockstepFieldFaultRecoversBitwise) {
     FaultPlan plan;
     plan.push_back({FaultKind::FieldInf, 3, 1, VarId::Rho, 2, 2, 2, {}});
     MultiDomainRunner<double> faulty(
-        spec, 2, 2, species, cfg, resilient_config(OverlapMode::None, plan));
+        spec, 2, 2, species, cfg, resilient_config(plan));
     faulty.scatter(initial);
     faulty.advance(3);
     State<double> got(grid, species);
@@ -490,7 +484,7 @@ TEST(ResilienceRecovery, StallPastDeadlineFailsCleanlyWithRankAttribution) {
     FaultPlan plan;
     plan.push_back({FaultKind::RankStall, 1, 0, VarId::RhoTheta, 0, 0, 0,
                     std::chrono::milliseconds(1500)});
-    auto md = resilient_config(OverlapMode::Split, plan);
+    auto md = resilient_config(plan);
     md.resilience.halo_deadline = std::chrono::milliseconds(300);
     MultiDomainRunner<double> runner(spec, 2, 1, species, cfg, md);
     runner.scatter(initial);
@@ -516,7 +510,7 @@ TEST(ResilienceRecovery, InjectedKillTerminatesAllRanksCleanly) {
     plan.push_back({FaultKind::RankKill, 0, 0, VarId::RhoTheta, 0, 0, 0, {}});
     MultiDomainRunner<double> runner(
         spec, 2, 1, species, cfg,
-        resilient_config(OverlapMode::Split, plan));
+        resilient_config(plan));
     runner.scatter(initial);
     try {
         runner.advance(1);
@@ -539,7 +533,7 @@ TEST(ResilienceRecovery, PersistentFaultExhaustsRetries) {
     State<double> initial(grid, species);
     init_case(grid, species, initial);
 
-    auto md = resilient_config(OverlapMode::None);
+    auto md = resilient_config();
     md.resilience.max_retries = 1;
     md.resilience.watchdog.cfl_limit = 1.0e-12;  // u0 = 8 m/s trips this
     MultiDomainRunner<double> runner(spec, 1, 1, species, cfg, md);
@@ -562,14 +556,6 @@ TEST(ResilienceRecovery, FaultPlanWithoutResilienceIsRejected) {
         {FaultKind::FieldNaN, 0, 0, VarId::Rho, 0, 0, 0, {}});
     EXPECT_THROW(MultiDomainRunner<double>(spec, 2, 2, SpeciesSet::dry(),
                                            cfg, md),
-                 Error);
-    // Rank/halo faults are meaningless without channels or rank workers.
-    MultiDomainConfig lockstep;
-    lockstep.resilience.enabled = true;
-    lockstep.resilience.faults.push_back(
-        {FaultKind::RankStall, 0, 0, VarId::Rho, 0, 0, 0, {}});
-    EXPECT_THROW(MultiDomainRunner<double>(spec, 2, 2, SpeciesSet::dry(),
-                                           cfg, lockstep),
                  Error);
 }
 
@@ -808,7 +794,7 @@ TEST(ResilienceSnapshot, AsyncSnapshotRestoresBitwiseStateAndReplays) {
     State<double> initial(grid, species);
     init_case(grid, species, initial);
 
-    auto md = resilient_config(OverlapMode::Split);
+    auto md = resilient_config();
     md.resilience.checkpoint_interval = 3;
     MultiDomainRunner<double> runner(spec, 2, 2, species, cfg, md);
     runner.scatter(initial);
@@ -868,7 +854,7 @@ TEST(ResilienceRecovery, SampledWatchdogRecoversBitwiseWithinBound) {
     State<double> ref(grid, species);
     {
         MultiDomainRunner<double> clean(spec, 2, 2, species, cfg,
-                                        resilient_config(OverlapMode::None));
+                                        resilient_config());
         clean.scatter(initial);
         clean.advance(5);
         clean.gather(ref);
@@ -876,7 +862,7 @@ TEST(ResilienceRecovery, SampledWatchdogRecoversBitwiseWithinBound) {
 
     FaultPlan plan;
     plan.push_back({FaultKind::FieldNaN, 2, 1, VarId::RhoTheta, 4, 2, 3, {}});
-    auto md = resilient_config(OverlapMode::None, plan);
+    auto md = resilient_config(plan);
     md.resilience.watchdog.sample_stride = 4;
     md.resilience.watchdog.full_sweep_period = 4;
     ASSERT_EQ(md.resilience.watchdog.detection_bound(), 4);

@@ -183,15 +183,25 @@ TEST(ServerQueue, RequeueFrontEnqueuesPastTheCapacityBound) {
 
 TEST(ServerScenario, EquivalentSpecsShareOneCanonicalKey) {
     // Irrelevant fields must not split the cache: a physics flag on
-    // warm_bubble, an overlap mode on 1x1, perturbation fields with zero
-    // amplitude.
+    // warm_bubble, perturbation fields with zero amplitude.
     ScenarioSpec a = small_spec();
     ScenarioSpec b = small_spec();
     b.physics = true;          // warm_bubble forces physics off
-    b.overlap = "pipeline";    // meaningless on a 1x1 decomposition
     b.member = 3;              // meaningless without a warm-start fork
     b.perturb_seed = 999;
     EXPECT_EQ(canonical_key(canonicalize(a)), canonical_key(canonicalize(b)));
+
+    // Two 2x2 frames that differ only in the retired "overlap" field (v1
+    // clients still send it) are one product: the runner has one
+    // schedule, and every schedule it ever had gave the same bits.
+    const auto decomposed = [](const char* overlap) {
+        io::JsonValue j = wire::spec_to_json(small_spec());
+        j.set("px", 2LL);
+        j.set("py", 2LL);
+        j.set("overlap", overlap);
+        return canonical_key(canonicalize(wire::spec_from_json(j)));
+    };
+    EXPECT_EQ(decomposed("none"), decomposed("pipeline"));
 
     // Fields that DO change the product must split the key.
     ScenarioSpec c = small_spec(3);
@@ -216,8 +226,10 @@ TEST(ServerScenario, RejectsNonsense) {
     s.scenario = "real_case";
     EXPECT_THROW(canonicalize(s), Error);
     s = small_spec();
-    s.px = 2;
-    s.overlap = "sideways";
+    s.px = 3;  // 16 columns do not split three ways
+    EXPECT_THROW(canonicalize(s), Error);
+    s = small_spec();
+    s.py = 8;  // 2 rows per rank: below the runner's one-halo floor
     EXPECT_THROW(canonicalize(s), Error);
 }
 
@@ -345,24 +357,6 @@ TEST(ServerSubmit, ShedPolicyRejectsOnlyWhenOptedIn) {
     EXPECT_EQ(ok + shed, 12u);
 }
 
-TEST(ServerSubmit, DeprecatedSpecShimStillServes) {
-    // The pre-envelope C++-object surface survives as a thin shim over
-    // submit(ForecastRequestV1) — same execution path, same bits.
-    ForecastServer server;
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    const ForecastHandle shim = server.submit(small_spec());
-#pragma GCC diagnostic pop
-    const ForecastResult& via_shim = shim.wait();
-    ASSERT_TRUE(via_shim.ok()) << via_shim.error;
-
-    ForecastServer fresh;
-    const ForecastResult& via_envelope =
-        fresh.submit(envelope(small_spec())).wait();
-    ASSERT_TRUE(via_envelope.ok()) << via_envelope.error;
-    EXPECT_EQ(via_shim.fingerprint, via_envelope.fingerprint);
-}
-
 TEST(ServerSubmit, PerRequestDeadlineRidesTheEnvelope) {
     // A deadline_ms on the envelope overrides the server default for
     // that request only; with faults off it must not perturb anything.
@@ -475,28 +469,27 @@ TEST(ServerDeterminism, RequestMatchesStandaloneRunBitwise) {
     expect_bitwise(*direct.state, *res.state);
 }
 
-TEST(ServerDeterminism, DecomposedRequestMatchesAllOverlapModes) {
-    // A 2x2 split-mode request (HaloChannel + TaskLayer under the
-    // server's ScopedOverride) must equal the lockstep answer bitwise.
+TEST(ServerDeterminism, DecomposedRequestMatchesSingleDomainStepper) {
+    // A 2x2 request (HaloChannel + TaskLayer under the server's
+    // ScopedOverride) must equal the single-domain dycore bitwise.
     ScenarioSpec spec = small_spec(2);
     spec.px = 2;
     spec.py = 2;
-    spec.overlap = "none";
-    const ForecastResult lockstep =
-        run_forecast(canonicalize(spec), nullptr, true);
-    ASSERT_TRUE(lockstep.ok()) << lockstep.error;
+    spec = canonicalize(spec);
+    const ModelConfig<double> mcfg = build_config(spec);
+    AsucaModel<double> reference(mcfg);
+    init_model(reference, spec);
+    TimeStepper<double> stepper(reference.grid(), mcfg.species,
+                                mcfg.stepper);
+    for (int n = 0; n < spec.steps; ++n) stepper.step(reference.state());
 
     ServerConfig cfg;
     cfg.keep_state = true;
     ForecastServer server(cfg);
-    for (const char* overlap : {"split", "pipeline"}) {
-        ScenarioSpec s = spec;
-        s.overlap = overlap;
-        const ForecastResult& res = server.submit(envelope(s)).wait();
-        ASSERT_TRUE(res.ok()) << overlap << ": " << res.error;
-        ASSERT_NE(res.state, nullptr);
-        expect_bitwise(*lockstep.state, *res.state);
-    }
+    const ForecastResult& res = server.submit(envelope(spec)).wait();
+    ASSERT_TRUE(res.ok()) << res.error;
+    ASSERT_NE(res.state, nullptr);
+    expect_bitwise(reference.state(), *res.state);
 }
 
 }  // namespace

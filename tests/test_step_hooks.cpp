@@ -1,14 +1,11 @@
 // StepHooks: ordered multi-subscriber semantics, removal by handle, and
-// the deprecated single-observer shims on both drivers (these are the
-// shim's own tests — everything else in the repo subscribes through
-// step_hooks() directly).
+// empty-subscriber handling — the observer surface TimeStepper and
+// MultiDomainRunner expose as step_hooks().
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
-#include "src/cluster/multidomain.hpp"
-#include "src/core/scenarios.hpp"
 #include "src/observability/step_hooks.hpp"
 
 namespace asuca {
@@ -66,67 +63,6 @@ TEST(StepHooks, EmptyFunctionHoldsSlotButNeverFires) {
     EXPECT_TRUE(hooks.remove(h));
     EXPECT_TRUE(hooks.empty());
 }
-
-// The deprecated shims must preserve the legacy single-slot semantics
-// (set replaces, nullptr detaches) without evicting other subscribers.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST(StepHooks, StepperShimReplacesAndDetaches) {
-    auto cfg = scenarios::warm_bubble_config<double>(8, 8, 8);
-    AsucaModel<double> model(cfg);
-    scenarios::init_warm_bubble(model);
-
-    int direct = 0, shim_a = 0, shim_b = 0;
-    model.stepper().step_hooks().add([&](const State<double>&) { ++direct; });
-
-    model.stepper().set_step_observer(
-        [&](const State<double>&) { ++shim_a; });
-    model.step();
-    // Set REPLACES the shim's subscription (legacy single-slot behavior).
-    model.stepper().set_step_observer(
-        [&](const State<double>&) { ++shim_b; });
-    model.step();
-    // nullptr DETACHES it; the direct subscriber keeps firing.
-    model.stepper().set_step_observer(nullptr);
-    model.step();
-
-    EXPECT_EQ(shim_a, 1);
-    EXPECT_EQ(shim_b, 1);
-    EXPECT_EQ(direct, 3);
-}
-
-TEST(StepHooks, RunnerShimReplacesAndDetaches) {
-    GridSpec spec;
-    spec.nx = 16;
-    spec.ny = 8;
-    spec.nz = 8;
-    TimeStepperConfig scfg;
-    scfg.dt = 1.0;
-    scfg.n_short_steps = 2;
-    const SpeciesSet species = SpeciesSet::dry();
-    Grid<double> grid(spec);
-    State<double> global(grid, species);
-    initialize_hydrostatic(grid, AtmosphereProfile::constant_n(292.0, 0.011),
-                           0.0, 0.0, global);
-
-    cluster::MultiDomainRunner<double> runner(spec, 2, 1, species, scfg);
-    runner.scatter(global);
-
-    int direct = 0, shim = 0;
-    runner.step_hooks().add(
-        [&](cluster::MultiDomainRunner<double>&) { ++direct; });
-    runner.set_step_observer(
-        [&](cluster::MultiDomainRunner<double>&) { ++shim; });
-    runner.step();
-    runner.set_step_observer(nullptr);
-    runner.step();
-
-    EXPECT_EQ(shim, 1);
-    EXPECT_EQ(direct, 2);
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace asuca

@@ -2,8 +2,8 @@
 // (concurrent emission, wraparound, disabled-mode zero effect), the
 // Chrome trace-event export, and — the property the whole subsystem
 // hangs on — that turning tracing and metrics ON changes nothing about
-// the numerics: every overlap mode stays bitwise identical to the
-// lockstep reference with spans and hooks firing throughout.
+// the numerics: a decomposed run stays bitwise identical to its
+// untraced twin with spans and hooks firing throughout.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -227,9 +227,7 @@ TimeStepperConfig make_stepper_cfg() {
     return cfg;
 }
 
-class TraceBitwise : public ::testing::TestWithParam<cluster::OverlapMode> {};
-
-TEST_P(TraceBitwise, TracingOnIsBitwiseIdenticalToTracingOff) {
+TEST(TraceBitwise, TracingOnIsBitwiseIdenticalToTracingOff) {
     TraceGuard guard;
     const auto spec = make_global();
     const auto cfg = make_stepper_cfg();
@@ -244,7 +242,6 @@ TEST_P(TraceBitwise, TracingOnIsBitwiseIdenticalToTracingOff) {
         grid, [](double z) { return z < 2000.0 ? 0.8 : 0.3; }, initial);
 
     cluster::MultiDomainConfig md;
-    md.overlap = GetParam();
     md.threads_per_rank = 2;
 
     // Reference: instrumentation disabled (the production default).
@@ -285,8 +282,8 @@ TEST_P(TraceBitwise, TracingOnIsBitwiseIdenticalToTracingOff) {
         EXPECT_EQ(max_abs_diff(ref.tracers[n], got.tracers[n]), 0.0);
     }
 
-    // The traced run must actually have traced: rank-worker spans in the
-    // concurrent modes, stepper-phase spans in lockstep.
+    // The traced run must actually have traced: rank-worker and halo
+    // spans.
     bool saw_phase = false;
     for (const auto& e : TraceRecorder::global().events()) {
         if (std::string(e.cat) == "phase" || std::string(e.cat) == "halo") {
@@ -296,21 +293,6 @@ TEST_P(TraceBitwise, TracingOnIsBitwiseIdenticalToTracingOff) {
     }
     EXPECT_TRUE(saw_phase);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Modes, TraceBitwise,
-    ::testing::Values(cluster::OverlapMode::None,
-                      cluster::OverlapMode::Split,
-                      cluster::OverlapMode::SplitPipeline),
-    [](const auto& info) {
-        switch (info.param) {
-            case cluster::OverlapMode::None: return std::string("none");
-            case cluster::OverlapMode::Split: return std::string("split");
-            case cluster::OverlapMode::SplitPipeline:
-                return std::string("pipeline");
-        }
-        return std::string("unknown");
-    });
 
 }  // namespace
 }  // namespace asuca::obs

@@ -51,7 +51,6 @@ void expect_specs_equal(const ScenarioSpec& a, const ScenarioSpec& b) {
     EXPECT_EQ(a.physics, b.physics);
     EXPECT_EQ(a.px, b.px);
     EXPECT_EQ(a.py, b.py);
-    EXPECT_EQ(a.overlap, b.overlap);
     EXPECT_EQ(a.warm_start, b.warm_start);
     EXPECT_EQ(a.member, b.member);
     EXPECT_EQ(a.perturb_seed, b.perturb_seed);
@@ -81,6 +80,7 @@ void expect_bad_request(Fn&& fn, const char* what) {
 TEST(WireRoundTrip, RandomValidSpecsKeepTheirCanonicalKey) {
     std::mt19937_64 rng(20260807);
     const char* scenarios[] = {"warm_bubble", "mountain_wave", "real_case"};
+    const char* overlaps[] = {"none", "split", "pipeline"};
     for (int trial = 0; trial < 200; ++trial) {
         ScenarioSpec s;
         s.scenario = scenarios[rng() % 3];
@@ -104,6 +104,12 @@ TEST(WireRoundTrip, RandomValidSpecsKeepTheirCanonicalKey) {
         expect_specs_equal(canon_direct, canon_wired);
         ASSERT_EQ(canonical_key(canon_direct), canonical_key(canon_wired))
             << "trial " << trial;
+        // v1 clients may still send the retired "overlap" field: it
+        // parses and is dropped, leaving the spec and its key untouched.
+        io::JsonValue legacy = wire::spec_to_json(s);
+        legacy.set("overlap", overlaps[rng() % 3]);
+        expect_specs_equal(s, wire::spec_from_json(
+                                  io::json_parse(legacy.dump_compact())));
     }
 }
 
@@ -185,6 +191,16 @@ TEST(WireRoundTrip, DurableResultCodecIsLossless) {
     EXPECT_EQ(back.max_w, 0.75);
     EXPECT_EQ(back.total_mass, 1.0e10);
     EXPECT_EQ(canonical_key(back.executed), canonical_key(res.executed));
+
+    // A result spilled while specs still carried "overlap" reloads too.
+    io::JsonValue old = wire::result_to_json(res);
+    io::JsonValue executed = old.at("executed");
+    executed.set("overlap", "split");
+    old.set("executed", std::move(executed));
+    const ForecastResult old_back =
+        wire::result_from_json(io::json_parse(old.dump_compact()));
+    EXPECT_EQ(old_back.fingerprint, res.fingerprint);
+    EXPECT_EQ(canonical_key(old_back.executed), canonical_key(res.executed));
 }
 
 TEST(WireRoundTrip, DegradedResultMapsToTheDegradedCode) {
@@ -268,6 +284,8 @@ TEST(WireNegative, OutOfRangeAndNonIntegralNumbersAreRejected) {
         {"steps", "0"},       {"steps", "-4"},    {"px", "70000"},
         {"member", "-1"},     {"coarsen", "7"},
         {"perturb_amplitude", "-0.5"},
+        // The retired overlap field accepts only the names it ever took.
+        {"overlap", "\"sideways\""}, {"overlap", "2"},
     };
     for (const auto& c : cases) {
         std::string body =
