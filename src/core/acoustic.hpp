@@ -155,16 +155,17 @@ class AcousticStepper {
     }
 
     /// Deviations at the start of the stage: current state minus the
-    /// linearization state (zero on the first RK stage).
+    /// linearization state (zero on the first RK stage), over every padded
+    /// cell, so each stage starts from fresh deviation halos.
     void init_deviations(const State<T>& now, const State<T>& bar) {
-        diff_into(now.rhou, bar.rhou, du_);
-        diff_into(now.rhov, bar.rhov, dv_);
-        diff_into(now.rhow, bar.rhow, dw_);
-        diff_into(now.rho, bar.rho, drho_);
-        diff_into(now.rhotheta, bar.rhotheta, dth_);
         const Index h = grid_.halo();
-        parallel_for_range(-h, grid_.ny() + h, [&](Index jb, Index je) {
-            for (Index j = jb; j < je; ++j)
+        parallel_for_range(-h, grid_.ny() + 1 + h, [&](Index jb, Index je) {
+            diff_rows(now.rhou, bar.rhou, du_, jb, je);
+            diff_rows(now.rhov, bar.rhov, dv_, jb, je);
+            diff_rows(now.rhow, bar.rhow, dw_, jb, je);
+            diff_rows(now.rho, bar.rho, drho_, jb, je);
+            diff_rows(now.rhotheta, bar.rhotheta, dth_, jb, je);
+            for (Index j = jb; j < std::min(je, grid_.ny() + h); ++j)
                 for (Index k = 0; k < grid_.nz(); ++k)
                     for (Index i = -h; i < grid_.nx() + h; ++i)
                         dp_(i, j, k) = cpt_(i, j, k) * dth_(i, j, k);
@@ -172,29 +173,36 @@ class AcousticStepper {
     }
 
     /// Advance the deviations by one acoustic substep of length dtau.
-    /// Single-domain path: halos between phases are filled by the lateral
-    /// BC. Multi-domain runners call the three phases directly and perform
-    /// real halo exchanges in between (the paper's per-short-step MPI
-    /// exchanges of momentum and potential temperature, Sec. V-A).
+    /// Single-domain path: the halos a later phase reads are filled by the
+    /// lateral BC — dp_half for the PGF, du/dv for the bottom condition
+    /// and the next substep's face reads. The implicit phase leaves the
+    /// dw/drho/dth/dp halos stale: no phase reads them, finalize's lateral
+    /// halos are overwritten by the state fill, and init_deviations
+    /// rewrites them at the next stage. Multi-domain runners call the
+    /// phases directly and perform real halo exchanges in between (the
+    /// paper's per-short-step MPI exchanges, Sec. V-A).
     void substep(const Tendencies<T>& slow, double dtau, LateralBc bc) {
+        const Index nx = grid_.nx(), ny = grid_.ny();
         phase_theta_half(slow, dtau);
-        apply_lateral_bc(dp_half_, bc, grid_.nx(), grid_.ny());
+        apply_lateral_bc(dp_half_, bc, nx, ny);
         phase_horizontal_momentum(slow, dtau);
-        apply_lateral_bc(du_, bc, grid_.nx(), grid_.ny());
-        apply_lateral_bc(dv_, bc, grid_.nx(), grid_.ny());
+        Array3<T>* uv[] = {&du_, &dv_};
+        apply_lateral_bc<T>(uv, bc, nx, ny);
         phase_bottom_kinematic();
         phase_vertical_implicit(slow, dtau);
-        apply_bcs(bc);
     }
 
     /// Reconstruct the full state: out = bar + deviations, with the full
-    /// (nonlinear) EOS pressure diagnostic.
+    /// (nonlinear) EOS pressure diagnostic. Pointwise, so out == bar works.
     void finalize(const State<T>& bar, State<T>& out) const {
-        sum_into(bar.rhou, du_, out.rhou);
-        sum_into(bar.rhov, dv_, out.rhov);
-        sum_into(bar.rhow, dw_, out.rhow);
-        sum_into(bar.rho, drho_, out.rho);
-        sum_into(bar.rhotheta, dth_, out.rhotheta);
+        const Index h = grid_.halo();
+        parallel_for_range(-h, grid_.ny() + 1 + h, [&](Index jb, Index je) {
+            sum_rows(bar.rhou, du_, out.rhou, jb, je);
+            sum_rows(bar.rhov, dv_, out.rhov, jb, je);
+            sum_rows(bar.rhow, dw_, out.rhow, jb, je);
+            sum_rows(bar.rho, drho_, out.rho, jb, je);
+            sum_rows(bar.rhotheta, dth_, out.rhotheta, jb, je);
+        });
         const Index nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
         KernelScope scope("eos_pressure", {/*reads=*/1, /*writes=*/1, 0},
                           static_cast<std::uint64_t>(nx * ny * nz));
@@ -223,25 +231,25 @@ class AcousticStepper {
         return {g.nx(), g.ny(), g.nz()};
     }
 
+    /// out = a - b over the padded rows [jb, je) that `a` has.
     template <class A>
-    static void diff_into(const A& a, const A& b, A& out) {
+    static void diff_rows(const A& a, const A& b, A& out, Index jb,
+                          Index je) {
         const Index h = a.halo();
-        parallel_for_range(-h, a.ny() + h, [&](Index jb, Index je) {
-            for (Index j = jb; j < je; ++j)
-                for (Index k = -h; k < a.nz() + h; ++k)
-                    for (Index i = -h; i < a.nx() + h; ++i)
-                        out(i, j, k) = a(i, j, k) - b(i, j, k);
-        });
+        for (Index j = jb; j < std::min(je, a.ny() + h); ++j)
+            for (Index k = -h; k < a.nz() + h; ++k)
+                for (Index i = -h; i < a.nx() + h; ++i)
+                    out(i, j, k) = a(i, j, k) - b(i, j, k);
     }
+    /// out = a + d over the padded rows [jb, je) that `a` has.
     template <class A>
-    static void sum_into(const A& a, const A& d, A& out) {
+    static void sum_rows(const A& a, const A& d, A& out, Index jb,
+                         Index je) {
         const Index h = a.halo();
-        parallel_for_range(-h, a.ny() + h, [&](Index jb, Index je) {
-            for (Index j = jb; j < je; ++j)
-                for (Index k = -h; k < a.nz() + h; ++k)
-                    for (Index i = -h; i < a.nx() + h; ++i)
-                        out(i, j, k) = a(i, j, k) + d(i, j, k);
-        });
+        for (Index j = jb; j < std::min(je, a.ny() + h); ++j)
+            for (Index k = -h; k < a.nz() + h; ++k)
+                for (Index i = -h; i < a.nx() + h; ++i)
+                    out(i, j, k) = a(i, j, k) + d(i, j, k);
     }
 
   public:
@@ -356,13 +364,13 @@ class AcousticStepper {
         const Index nx = grid_.nx(), nz = grid_.nz();
         KernelScope scope("pgf_x_short", {/*reads=*/4, /*writes=*/1, 16},
                           static_cast<std::uint64_t>(nx * (j1 - j0) * nz));
+        // Zero, accumulate and update touch only their own row, so one
+        // region runs all three per j-slab (pgf_x_rows nests inline).
         parallel_for_range(j0, j1, [&](Index jb, Index je) {
             for (Index j = jb; j < je; ++j)
                 for (Index k = 0; k < nz; ++k)
                     for (Index i = 0; i < nx; ++i) tend_u_(i, j, k) = T(0);
-        });
-        pgf_x_rows(grid_, dp_half_, tend_u_, j0, j1);
-        parallel_for_range(j0, j1, [&](Index jb, Index je) {
+            pgf_x_rows(grid_, dp_half_, tend_u_, jb, je);
             for (Index j = jb; j < je; ++j)
                 for (Index k = 0; k < nz; ++k)
                     for (Index i = 0; i < nx; ++i)
@@ -379,13 +387,12 @@ class AcousticStepper {
         const Index nx = grid_.nx(), nz = grid_.nz();
         KernelScope scope("pgf_y_short", {/*reads=*/4, /*writes=*/1, 16},
                           static_cast<std::uint64_t>(nx * (j1 - j0) * nz));
+        // One region per j-slab, as in phase_momentum_x_rows.
         parallel_for_range(j0, j1, [&](Index jb, Index je) {
             for (Index j = jb; j < je; ++j)
                 for (Index k = 0; k < nz; ++k)
                     for (Index i = 0; i < nx; ++i) tend_v_(i, j, k) = T(0);
-        });
-        pgf_y_rows(grid_, dp_half_, tend_v_, j0, j1);
-        parallel_for_range(j0, j1, [&](Index jb, Index je) {
+            pgf_y_rows(grid_, dp_half_, tend_v_, jb, je);
             for (Index j = jb; j < je; ++j)
                 for (Index k = 0; k < nz; ++k)
                     for (Index i = 0; i < nx; ++i)
@@ -440,8 +447,9 @@ class AcousticStepper {
     }
 
     /// Phase 3: build and solve the vertical implicit (Helmholtz) system,
-    /// then update rho', theta', p'. Caller must refresh the halos of all
-    /// deviations afterwards. Dispatches between the original scalar
+    /// then update rho', theta', p' over the interior columns. Reads only
+    /// interior cells of the deviations; leaves their halos as they were.
+    /// Dispatches between the original scalar
     /// one-column-at-a-time sweep (width 1) and the column-batched sweep
     /// (width W columns marched simultaneously); both produce bitwise
     /// identical results on default builds.
@@ -847,19 +855,6 @@ class AcousticStepper {
         }
     }
 
-  public:
-    /// Fill all deviation halos with the lateral BC (single-domain path).
-    void apply_bcs(LateralBc bc) {
-        const Index nx = grid_.nx(), ny = grid_.ny();
-        apply_lateral_bc(du_, bc, nx, ny);
-        apply_lateral_bc(dv_, bc, nx, ny);
-        apply_lateral_bc(dw_, bc, nx, ny);
-        apply_lateral_bc(drho_, bc, nx, ny);
-        apply_lateral_bc(dth_, bc, nx, ny);
-        apply_lateral_bc(dp_, bc, nx, ny);
-    }
-
-  private:
     const Grid<T>& grid_;
     AcousticConfig cfg_;
     // Linearization coefficients (frozen per RK stage).

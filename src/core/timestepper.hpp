@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <cmath>
 #include <utility>
+#include <vector>
 
 #include "src/core/acoustic.hpp"
 #include "src/core/advection.hpp"
@@ -239,19 +240,17 @@ class TimeStepper {
         update_tracers_into(s0_, dt_s, work_);
     }
 
-    /// Fill lateral halos of all prognostic fields and the pressure.
+    /// Fill lateral halos of all prognostic fields and the pressure, as
+    /// one parallel region.
     void apply_state_bcs(State<T>& s) const {
         const Index nx = grid_.nx(), ny = grid_.ny();
         KernelScope scope("boundary_ops", {/*reads=*/1, /*writes=*/1, 0},
                           static_cast<std::uint64_t>(
                               2 * (nx + ny) * grid_.nz() * grid_.halo()));
-        apply_lateral_bc(s.rho, cfg_.bc, nx, ny);
-        apply_lateral_bc(s.rhou, cfg_.bc, nx, ny);
-        apply_lateral_bc(s.rhov, cfg_.bc, nx, ny);
-        apply_lateral_bc(s.rhow, cfg_.bc, nx, ny);
-        apply_lateral_bc(s.rhotheta, cfg_.bc, nx, ny);
-        apply_lateral_bc(s.p, cfg_.bc, nx, ny);
-        for (auto& q : s.tracers) apply_lateral_bc(q, cfg_.bc, nx, ny);
+        std::vector<Array3<T>*> group{&s.rho,  &s.rhou,     &s.rhov,
+                                      &s.rhow, &s.rhotheta, &s.p};
+        for (auto& q : s.tracers) group.push_back(&q);
+        apply_lateral_bc<T>(group, cfg_.bc, nx, ny);
     }
 
   private:
@@ -282,11 +281,12 @@ class TimeStepper {
     /// out == s0 works for the in-place final RK stage).
     void update_tracers_into(const State<T>& s0, double dt_s, State<T>& out) {
         const Index nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
-        for (std::size_t n = 0; n < out.tracers.size(); ++n) {
-            auto& q = out.tracers[n];
-            const auto& q0 = s0.tracers[n];
-            const auto& dq = slow_.tracers[n];
-            parallel_for(ny, [&](Index jb, Index je) {
+        if (out.tracers.empty()) return;
+        parallel_for(ny, [&](Index jb, Index je) {
+            for (std::size_t n = 0; n < out.tracers.size(); ++n) {
+                auto& q = out.tracers[n];
+                const auto& q0 = s0.tracers[n];
+                const auto& dq = slow_.tracers[n];
                 for (Index j = jb; j < je; ++j)
                     for (Index k = 0; k < nz; ++k)
                         for (Index i = 0; i < nx; ++i) {
@@ -295,8 +295,8 @@ class TimeStepper {
                                 v = T(0);
                             q(i, j, k) = v;
                         }
-            });
-        }
+            }
+        });
     }
 
     /// First call: full copy so the workspace carries everything the

@@ -2,10 +2,15 @@
 // the implicit vertical solve, and hydrostatic adjustment behaviour.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+
 #include "src/core/acoustic.hpp"
 #include "src/core/diagnostics.hpp"
 #include "src/core/initial.hpp"
 #include "src/core/tendencies.hpp"
+#include "src/core/timestepper.hpp"
+#include "src/parallel/thread_pool.hpp"
 
 namespace asuca {
 namespace {
@@ -145,6 +150,91 @@ TEST(Acoustic, TerrainKinematicConditionHolds) {
         if (std::abs(zx(i, 3, 0)) > 1e-4) {
             EXPECT_NE(dw(i, 3, 0), 0.0);  // slopes force vertical motion
         }
+    }
+}
+
+bool same_padded(const Array3<double>& a, const Array3<double>& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Acoustic, EndOfSubstepDeviationFillIsDead) {
+    // substep() no longer fills the six deviation halos after the implicit
+    // phase. Stepping with that fill restored (built from the public
+    // phases) must give the same padded states after finalize and the
+    // state fill: a phase that starts reading a deviation halo fails here.
+    ThreadPool pool(4);
+    ThreadPool::ScopedOverride use(pool);
+    for (const LateralBc bc :
+         {LateralBc::Periodic, LateralBc::ZeroGradient}) {
+        AcousticSetup su(0.6, bell_ridge(500.0, 2000.0, 6000.0));
+        TimeStepperConfig tcfg;
+        tcfg.bc = bc;
+        TimeStepper<double> ts(su.grid, SpeciesSet::dry(), tcfg);
+        State<double>& bar = su.state;
+        ts.apply_state_bcs(bar);
+        State<double> now = bar;
+        add_theta_bubble(su.grid, 1.0, 6000.0, 4000.0, 4000.0, 3000.0,
+                         3000.0, 2000.0, now);
+        ts.apply_state_bcs(now);
+        // Nonzero slow tendencies in every acoustic equation.
+        Array3<double>* slows[] = {&su.slow.rhou, &su.slow.rhov,
+                                   &su.slow.rhow, &su.slow.rho,
+                                   &su.slow.rhotheta};
+        for (std::size_t f = 0; f < 5; ++f) {
+            Array3<double>& a = *slows[f];
+            for (Index j = 0; j < a.ny(); ++j)
+                for (Index k = 0; k < a.nz(); ++k)
+                    for (Index i = 0; i < a.nx(); ++i)
+                        a(i, j, k) = 1e-3 * std::sin(0.7 * double(i) +
+                                                     1.3 * double(j) +
+                                                     0.4 * double(k) +
+                                                     double(f));
+        }
+
+        AcousticStepper<double> current(su.grid, AcousticConfig{});
+        AcousticStepper<double> filled(su.grid, AcousticConfig{});
+        const Index nx = su.spec.nx, ny = su.spec.ny;
+        for (AcousticStepper<double>* ac : {&current, &filled}) {
+            ac->prepare(bar);
+            ac->init_deviations(now, bar);
+        }
+        for (int n = 0; n < 6; ++n) {
+            current.substep(su.slow, 0.5, bc);
+            filled.phase_theta_half(su.slow, 0.5);
+            apply_lateral_bc(filled.dp_half(), bc, nx, ny);
+            filled.phase_horizontal_momentum(su.slow, 0.5);
+            apply_lateral_bc(filled.du(), bc, nx, ny);
+            apply_lateral_bc(filled.dv(), bc, nx, ny);
+            filled.phase_bottom_kinematic();
+            filled.phase_vertical_implicit(su.slow, 0.5);
+            for (Array3<double>* d :
+                 {&filled.du(), &filled.dv(), &filled.dw(), &filled.drho(),
+                  &filled.dth(), &filled.dp()}) {
+                apply_lateral_bc(*d, bc, nx, ny);
+            }
+        }
+        // The fill did write: the halos it wrote really are stale now.
+        EXPECT_FALSE(same_padded(current.dth(), filled.dth()));
+        EXPECT_FALSE(same_padded(current.dw(), filled.dw()));
+
+        State<double> out_current = bar, out_filled = bar;
+        current.finalize(bar, out_current);
+        filled.finalize(bar, out_filled);
+        ts.apply_state_bcs(out_current);
+        ts.apply_state_bcs(out_filled);
+        const char* bc_name =
+            bc == LateralBc::Periodic ? "Periodic" : "ZeroGradient";
+        EXPECT_TRUE(same_padded(out_current.rho, out_filled.rho)) << bc_name;
+        EXPECT_TRUE(same_padded(out_current.rhou, out_filled.rhou))
+            << bc_name;
+        EXPECT_TRUE(same_padded(out_current.rhov, out_filled.rhov))
+            << bc_name;
+        EXPECT_TRUE(same_padded(out_current.rhow, out_filled.rhow))
+            << bc_name;
+        EXPECT_TRUE(same_padded(out_current.rhotheta, out_filled.rhotheta))
+            << bc_name;
+        EXPECT_TRUE(same_padded(out_current.p, out_filled.p)) << bc_name;
     }
 }
 
