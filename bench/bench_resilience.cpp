@@ -17,12 +17,14 @@
 //                      16th step) with CFL and global-mass checks;
 //   watchdog_full    — deadline + the exhaustive per-step scan (the
 //                      pre-sampling behavior, for attribution);
-//   snapshot         — deadline + double-buffered async snapshots after
-//                      every committed step, copied concurrently with
-//                      the next step's compute (rollback-ready);
+//   snapshot         — deadline + a double-buffered rollback point after
+//                      every step: each rank copies its own new state
+//                      into the staging buffer at the end of its step
+//                      program, and the round is promoted when the step
+//                      commits;
 //   guarded          — the production protection config: integrity +
-//                      sampled watchdog + periodic async snapshots
-//                      (every 16 steps);
+//                      sampled watchdog + a rollback point every 16
+//                      steps;
 //   recovering       — guarded with a rollback point after EVERY step
 //                      (checkpoint_interval = 1).
 //
@@ -107,7 +109,7 @@ void apply(const Variant& v, MultiDomainConfig& md) {
 
 int main(int argc, char** argv) {
     title("Resilience overhead — fused integrity, sampled watchdog, "
-          "async snapshots");
+          "rank-staged snapshots");
 
     Int3 mesh{48, 24, 24};
     int steps = 6;   // timed steps per rep
@@ -241,8 +243,8 @@ int main(int argc, char** argv) {
         const auto source = [&](Index) -> const State<double>& {
             return work;
         };
-        resilience::AsyncSnapshotter<double> snap;
-        snap.configure(1, source, incremental);
+        resilience::RollbackSnapshots<double> snap;
+        snap.configure(1, incremental);
         snap.capture_sync(source, 0, 0.0);  // round 0: always a full copy
         std::size_t total = 0;
         for (int r = 0; r < snap_rounds; ++r) {
@@ -264,9 +266,11 @@ int main(int argc, char** argv) {
                 bytes_per_round[0] / std::max(1.0, bytes_per_round[1]));
 
     note("integrity fuses the FNV-1a word into the halo pack/unpack copy");
-    note("loops; snapshots are double-buffered raw copies overlapped with");
-    note("the next step's compute; the sampled watchdog scans every 4th");
-    note("cell (rotating offset) with an exhaustive sweep every 16 steps.");
+    note("loops; a snapshot is a double-buffered raw copy that each rank");
+    note("takes of its own state at the end of a due step, on its own");
+    note("worker and not overlapped with compute; the sampled watchdog");
+    note("scans every 4th cell (rotating offset) with an exhaustive sweep");
+    note("every 16 steps.");
 
     io::JsonValue doc;
     doc.set("config", "mountain_wave_warm_rain");
@@ -278,6 +282,8 @@ int main(int argc, char** argv) {
     doc.set("warmup_steps", warmup);
     doc.set("reps", reps);
     doc.set("threads_per_rank", static_cast<long long>(per_rank));
+    doc.set("hardware_threads", static_cast<long long>(hw));
+    doc.set("compiler", __VERSION__);
     io::JsonArray vs;
     for (const auto& r : results) {
         io::JsonValue row;

@@ -2,17 +2,23 @@
 // numerical counterpart of the paper's 2-D MPI decomposition (Sec. V).
 //
 // The global domain is split px x py; each "rank" owns its own Grid,
-// State and TimeStepper machinery. Each rank runs the whole step
-// program — the stage/substep structure of TimeStepper::step() — on its
-// own TaskLayer worker (issuing its kernels against a private per-rank
-// ThreadPool via ThreadPool::ScopedOverride), and every lateral-BC halo
-// fill becomes a neighbor exchange through per-neighbor double-buffered
-// HaloChannels. Halo-consuming kernels split into boundary-strip and
-// interior launches so the strips can be posted while the interior
-// computes — the paper's Sec. V-A overlap method 2 — and the acoustic
-// density/theta updates run logically fused (method 3). Method 1
-// (inter-variable pipelining) is modeled in StepModel only: measured on
-// a 4-core host it bought nothing over this schedule.
+// State and TimeStepper. Each rank runs the single-domain step program,
+// TimeStepper::step_program(), on its own TaskLayer worker (issuing its
+// kernels against a private per-rank ThreadPool via
+// ThreadPool::ScopedOverride), with a halo policy that turns every
+// lateral-BC fill into a neighbor exchange through per-neighbor
+// double-buffered HaloChannels. In its acoustic substep the
+// halo-consuming kernels split into boundary-strip and interior launches
+// so the strips can be posted while the interior computes — the paper's
+// Sec. V-A overlap method 2 — and the density/theta updates run
+// logically fused (method 3). Method 1 (inter-variable pipelining) is
+// modeled in StepModel only: measured on a 4-core host it bought nothing
+// over this schedule.
+//
+// Under the resilience policy each rank also copies its own state into
+// the staging side of the rollback snapshots at the end of a step that
+// is due one (resilience/snapshot.hpp); advance() promotes the round
+// once the step passes its health scan.
 //
 // Because the per-cell arithmetic is identical, the channel strips carry
 // exactly the cells the single-domain periodic fill writes, and every
@@ -24,7 +30,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
@@ -174,16 +179,7 @@ class MultiDomainRunner {
             watchdog_ = resilience::Watchdog<T>(rc.watchdog);
             exchanger_->enable_guard(
                 ChannelGuard{rc.halo_deadline, rc.halo_integrity});
-            // Rollback snapshots copy from the stage workspaces: bitwise
-            // equal to the committed states at every commit point and
-            // not overwritten until deep into the next step (the async
-            // overlap window). See snapshot.hpp.
-            snap_.configure(rank_count(),
-                            [this](Index r) -> const State<T>& {
-                                return ranks_[size_t(r)]->stepper
-                                    .stage_workspace();
-                            },
-                            rc.incremental_snapshots);
+            snap_.configure(rank_count(), rc.incremental_snapshots);
         }
     }
 
@@ -242,8 +238,10 @@ class MultiDomainRunner {
                                exchange_field_list(ranks_[size_t(r)]->state));
         });
         // The rank states were just replaced wholesale: any existing
-        // rollback point (and the once-copied reference fields) is stale.
-        if (snap_.configured()) snap_.invalidate();
+        // rollback point (and the once-copied reference fields) is stale,
+        // and so is the watchdog's mass baseline.
+        snap_.invalidate();
+        mass_init_ = false;
     }
 
     /// Copy the rank interiors back into a global state (halos are left to
@@ -268,7 +266,7 @@ class MultiDomainRunner {
     /// One long step on every rank. No fault handling: a detected fault
     /// propagates as an exception. The resilient driver is advance().
     void step() {
-        step_impl();
+        step_impl(/*stage_snapshot=*/false);
         ++step_index_;
         record_step_metrics();
         step_hooks_.notify(*this);
@@ -277,10 +275,13 @@ class MultiDomainRunner {
     /// Advance `n_steps` long steps under the resilience policy:
     /// periodic in-memory snapshots, injected-fault hooks, a per-step
     /// watchdog scan, rollback-and-replay on transient faults and a
-    /// rank-attributed abort on fatal ones. The step observer fires only
-    /// on COMMITTED steps (never on a step that is about to be rolled
-    /// back), so observers see exactly the same sequence of states as a
-    /// fault-free run. With resilience disabled this is n plain step()s.
+    /// rank-attributed abort on fatal ones. A step that is due a
+    /// rollback point stages it from the ranks' freshly computed states;
+    /// the round becomes the rollback point only once the step commits.
+    /// The step observer fires only on COMMITTED steps (never on a step
+    /// that is about to be rolled back), so observers see exactly the
+    /// same sequence of states as a fault-free run. With resilience
+    /// disabled this is n plain step()s.
     void advance(long long n_steps) {
         const ResilienceConfig& rc = mdcfg_.resilience;
         if (!rc.enabled) {
@@ -293,9 +294,8 @@ class MultiDomainRunner {
             mass_init_ = true;
         }
         if (!snap_.valid()) {
-            // First rollback point: synchronous, from the rank states
-            // (the async copy source — the stage workspaces — is not
-            // initialized before the first step runs).
+            // First rollback point: the current rank states, copied on
+            // this thread.
             snap_.capture_sync(
                 [this](Index r) -> const State<T>& { return rank_state(r); },
                 step_index_, mass_baseline_);
@@ -303,11 +303,10 @@ class MultiDomainRunner {
         const long long target = step_index_ + n_steps;
         int retries = 0;
         while (step_index_ < target) {
+            const bool snapshot_due =
+                step_index_ + 1 - snap_.step() >= rc.checkpoint_interval;
             try {
-                // A snapshot round launched at the previous commit runs
-                // concurrently with this step's compute (completed by
-                // the rank-side barriers / the finish below).
-                step_impl();
+                step_impl(snapshot_due);
             } catch (...) {
                 FailureVerdict v = classify_failure();
                 if (v.fatal) {
@@ -326,13 +325,12 @@ class MultiDomainRunner {
                 rollback(v.what);
                 continue;
             }
-            snap_.finish();
             // Injected field corruption models a bad write DURING the
             // step: it lands before the health scan, so detection and
-            // recovery exercise exactly the real-fault path. (It lands
-            // in the rank STATES; the just-promoted snapshot copied the
-            // workspaces beforehand, so the rollback point stays clean
-            // even when a sampled watchdog detects the fault late.)
+            // recovery exercise exactly the real-fault path. The ranks
+            // staged their snapshot copies before it lands, so a rollback
+            // point stays clean even when a sampled watchdog detects the
+            // fault steps later.
             injector_.apply_field_faults(
                 step_index_, rank_count(),
                 [&](Index r) -> State<T>& { return rank_state(r); },
@@ -376,15 +374,10 @@ class MultiDomainRunner {
             if (mass_now) mass_baseline_ = mass;
             ++step_index_;
             retries = 0;
+            if (snapshot_due) snap_.promote(step_index_, mass_baseline_);
             record_step_metrics();
             step_hooks_.notify(*this);
-            if (step_index_ - snap_.step() >= rc.checkpoint_interval) {
-                snap_.launch(step_index_, mass_baseline_);
-            }
         }
-        // Complete the round launched at the final commit so no copy is
-        // in flight across the advance() boundary.
-        snap_.finish();
     }
 
     /// Roll back to the most recent committed rollback snapshot —
@@ -437,7 +430,7 @@ class MultiDomainRunner {
             rank_state(r) = std::move(staged[static_cast<std::size_t>(r)]);
         }
         step_index_ = hdr[2];
-        if (snap_.configured()) snap_.invalidate();  // stale rollback points
+        snap_.invalidate();  // stale rollback points
         mass_init_ = false;
     }
 
@@ -452,8 +445,6 @@ class MultiDomainRunner {
         State<T> state;
         TimeStepper<T> stepper;
     };
-
-    static constexpr double kStageFraction[3] = {1.0 / 3.0, 0.5, 1.0};
 
     /// Exchanged state fields in canonical order: the six dynamic fields
     /// first, then the tracers. Channel message streams rely on every
@@ -485,10 +476,12 @@ class MultiDomainRunner {
     }
 
     /// One long step: every rank runs rank_step_program() concurrently,
-    /// after any injected rank/halo faults due this step are armed.
-    void step_impl() {
+    /// after any injected rank/halo faults due this step are armed, and
+    /// then, when `stage_snapshot` is set, copies its new state into the
+    /// staging side of the rollback snapshots.
+    void step_impl(bool stage_snapshot) {
         obs::TraceSpan span("md_long_step", "phase");
-        run_ranks([this](Index r) {
+        run_ranks([this, stage_snapshot](Index r) {
             if (injector_.enabled()) {
                 const auto stall = injector_.stall(r, step_index_);
                 if (stall.count() > 0) {
@@ -511,53 +504,39 @@ class MultiDomainRunner {
                 }
             }
             rank_step_program(r);
+            if (stage_snapshot) snap_.stage(r, rank_state(r));
         });
     }
 
-    /// The whole long step from one rank's point of view: the stage and
-    /// substep structure of TimeStepper::step(), with every lateral-BC
-    /// halo fill replaced by a channel exchange. Every rank runs this
-    /// same program, so each SPSC channel sees an identical message
-    /// sequence on both ends and the bounded (<= 2 in flight) post/recv
-    /// schedules below can never deadlock: each post waits only on a
-    /// receive that occurs strictly earlier in the shared program order.
+    /// Rank r's halo policy for TimeStepper::step_program(): every
+    /// lateral fill is a channel exchange, and the acoustic substep is
+    /// the split schedule below.
+    struct ChannelHalos {
+        MultiDomainRunner& md;
+        Index r;
+        void refresh(State<T>& s) const {
+            md.pipelined_exchange(r, exchange_field_list(s));
+        }
+        void substep(AcousticStepper<T>& ac, const Tendencies<T>& slow,
+                     double dtau) const {
+            md.acoustic_substep_split(r, ac, slow, dtau);
+        }
+    };
+
+    /// The whole long step from one rank's point of view: the
+    /// single-domain step program with channel exchanges for halo
+    /// fills. Every rank runs this same program, so each SPSC channel
+    /// sees an identical message sequence on both ends and the bounded
+    /// (<= 2 in flight) post/recv schedules below can never deadlock:
+    /// each post waits only on a receive that occurs strictly earlier in
+    /// the shared program order.
     void rank_step_program(Index r) {
         if (obs::trace_enabled()) {
             obs::name_this_thread("rank " + std::to_string(r) + " worker");
         }
         obs::TraceSpan program_span("rank_step", r, "phase");
         Rank& rk = *ranks_[size_t(r)];
-        TimeStepper<T>& st = rk.stepper;
-        AcousticStepper<T>& ac = st.acoustic();
-        Tendencies<T>& slow = st.slow_tendencies();
-
-        pipelined_exchange(r, exchange_field_list(rk.state));
-        st.step_start_state() = rk.state;
-        State<T>* bar = &rk.state;
-        for (int stage = 0; stage < 3; ++stage) {
-            const double dt_s = cfg_.dt * kStageFraction[stage];
-            const int ns = std::max(
-                1, static_cast<int>(std::lround(cfg_.n_short_steps *
-                                                kStageFraction[stage])));
-            const double dtau = dt_s / ns;
-            st.compute_slow_tendencies(*bar, slow);
-            ac.prepare(*bar);
-            ac.init_deviations(st.step_start_state(), *bar);
-            for (int n = 0; n < ns; ++n) {
-                acoustic_substep_split(r, dtau);
-            }
-            // First workspace write of the step (stage 0): an in-flight
-            // snapshot round must copy this rank's workspace first. By
-            // here the whole stage-0 acoustic ladder has overlapped the
-            // background copy.
-            if (stage == 0) snap_.barrier(r);
-            st.stage_workspace() = *bar;
-            ac.finalize(*bar, st.stage_workspace());
-            st.update_stage_tracers(dt_s);
-            bar = &st.stage_workspace();
-            pipelined_exchange(r, exchange_field_list(*bar));
-        }
-        rk.state = st.stage_workspace();
+        rk.stepper.step_program(rk.state, ChannelHalos{*this, r});
     }
 
     /// Generic pipelined exchange of a field group: x posts run one field
@@ -583,12 +562,14 @@ class MultiDomainRunner {
     /// dp_half's strips are computed and posted before its interior, the
     /// x-momentum update (which reads no y halos) and all but one row of
     /// the y-momentum update run while dp_half's y strips are in flight.
-    void acoustic_substep_split(Index r, double dtau) {
-        Rank& rk = *ranks_[size_t(r)];
-        AcousticStepper<T>& ac = rk.stepper.acoustic();
-        Tendencies<T>& slow = rk.stepper.slow_tendencies();
-        const Index nx = rk.grid.nx(), ny = rk.grid.ny();
-        const Index h = rk.grid.halo();
+    /// It exchanges the same two halos AcousticStepper::substep fills:
+    /// the implicit phase's dw/drho/dth/dp halos are never read (DESIGN.md
+    /// §8, "Halo liveness").
+    void acoustic_substep_split(Index r, AcousticStepper<T>& ac,
+                                const Tendencies<T>& slow, double dtau) {
+        const Grid<T>& grid = rank_grid(r);
+        const Index nx = grid.nx(), ny = grid.ny();
+        const Index h = grid.halo();
         // Far edges of the interior. Below two halos of local extent the
         // two bands of an axis meet and the interior is empty, so every
         // cell is still computed exactly once.
@@ -616,10 +597,6 @@ class MultiDomainRunner {
         pipelined_exchange(r, {&ac.du(), &ac.dv()});
         ac.phase_bottom_kinematic();
         ac.phase_vertical_implicit(slow, dtau);
-
-        // Deviation halos for the next substep / finalize (the paper's
-        // per-short-step exchanges of momentum, density and theta).
-        pipelined_exchange(r, {&ac.dw(), &ac.drho(), &ac.dth(), &ac.dp()});
     }
 
     // ------------------------------------------------------------------
@@ -686,11 +663,8 @@ class MultiDomainRunner {
                 .counter("resilience.rollbacks")
                 .add();
         }
-        // A round launched at the last commit may still be copying:
-        // complete and promote it first — its sources are intact (any
-        // rank that overwrote its workspace passed the barrier), and it
-        // is the newest clean rollback point.
-        snap_.finish();
+        // The committed side is the newest clean rollback point; a round
+        // staged by the failed step is dropped.
         snap_.restore(
             [this](Index r) -> State<T>& { return rank_state(r); });
         step_index_ = snap_.step();
@@ -867,10 +841,8 @@ class MultiDomainRunner {
     resilience::FaultInjector injector_;
     resilience::Watchdog<T> watchdog_;
     long long step_index_ = 0;
-    /// Async double-buffered rollback snapshots. Declared after ranks_
-    /// so its destructor (which joins the snapshot thread) runs before
-    /// the rank states it copies from are destroyed.
-    resilience::AsyncSnapshotter<T> snap_;
+    /// Double-buffered rollback snapshots, staged by the rank workers.
+    resilience::RollbackSnapshots<T> snap_;
     double mass_baseline_ = 0.0;
     bool mass_init_ = false;
     resilience::HealthReport last_report_;

@@ -13,6 +13,11 @@
 //
 // which mirrors the component flow of the paper's Fig. 1. Each component
 // runs as a named kernel recorded in the KernelRegistry.
+//
+// That loop is written once, in step_program(), over a halo policy: the
+// single-domain step() fills halos with the lateral BC, and each rank of
+// a decomposed run (cluster/multidomain.hpp) with channel exchanges — the
+// paper's one time-loop program per GPU with MPI boundary operations.
 #pragma once
 
 #include <algorithm>
@@ -54,8 +59,7 @@ class TimeStepper {
     TimeStepper(const Grid<T>& grid, const SpeciesSet& species,
                 const TimeStepperConfig& config)
         : grid_(grid), cfg_(config), acoustic_(grid, config.acoustic),
-          slow_(grid, species), fluxes_(grid), s0_(grid, species),
-          work_(grid, species),
+          slow_(grid, species), fluxes_(grid), work_(grid, species),
           p_pert_({grid.nx(), grid.ny(), grid.nz()}, grid.halo(),
                   grid.layout()),
           rho_pert_({grid.nx(), grid.ny(), grid.nz()}, grid.halo(),
@@ -74,17 +78,40 @@ class TimeStepper {
     StepHooks& step_hooks() { return step_hooks_; }
 
     /// Advance `state` by one long step dt.
-    ///
-    /// `state` itself serves as the step-start state: it is only read
-    /// until the final RK stage writes the result back into it, so the
-    /// per-stage deep copies (`s0_ = state`, `work_ = *bar`) are elided.
-    /// The workspace is synced once (reference fields, halo content the
-    /// copies used to carry) and its reference fields refreshed per step.
     void step(State<T>& state) {
         obs::TraceSpan step_span("long_step", "phase");
         Timer step_timer;
         step_timer.start();
-        apply_state_bcs(state);
+        step_program(state, BcHalos{*this});
+        step_timer.stop();
+        if (obs::metrics_enabled()) {
+            static auto& steps =
+                obs::MetricsRegistry::global().counter("stepper.steps");
+            static auto& seconds = obs::MetricsRegistry::global().histogram(
+                "stepper.step_microseconds");
+            steps.add(1);
+            seconds.observe(step_timer.seconds() * 1e6);
+        }
+        step_hooks_.notify(state);
+    }
+
+    /// The long step itself, for any executor. `halos` supplies the two
+    /// operations that differ between a single domain and a rank of a
+    /// decomposed run:
+    ///   halos.refresh(s)              fill the lateral halos of a
+    ///                                 state's prognostic fields and p;
+    ///   halos.substep(ac, slow, dtau) run one acoustic substep of `ac`,
+    ///                                 with the dp_half and du/dv halo
+    ///                                 fills it needs.
+    ///
+    /// `state` itself serves as the step-start state: it is only read
+    /// until the final RK stage writes the result back into it, so no
+    /// per-stage deep copy is taken. Stages 1 and 2 land in the
+    /// workspace, which is synced once (reference fields, halo content
+    /// no stage writes) and has its reference fields refreshed per step.
+    template <class Halos>
+    void step_program(State<T>& state, Halos&& halos) {
+        halos.refresh(state);
         sync_stage_workspace(state);
 
         static constexpr const char* kStageName[3] = {
@@ -104,29 +131,17 @@ class TimeStepper {
             {
                 obs::TraceSpan acoustic_span("acoustic_substeps", "phase");
                 for (int n = 0; n < ns; ++n) {
-                    acoustic_.substep(slow_, dtau, cfg_.bc);
+                    halos.substep(acoustic_, slow_, dtau);
                 }
             }
-            // Intermediate stages land in the workspace; the final stage
-            // writes straight into `state`. finalize and the tracer
-            // update are pointwise, so out == bar (stage 1) and
-            // out == state (stage 2) are in-place safe.
+            // finalize and the tracer update are pointwise, so out == bar
+            // (stage 1) and out == state (stage 2) are in-place safe.
             State<T>& out = (stage == 2) ? state : work_;
             acoustic_.finalize(*bar, out);
             update_tracers_into(state, dt_s, out);
-            apply_state_bcs(out);
+            halos.refresh(out);
             bar = &out;
         }
-        step_timer.stop();
-        if (obs::metrics_enabled()) {
-            static auto& steps =
-                obs::MetricsRegistry::global().counter("stepper.steps");
-            static auto& seconds = obs::MetricsRegistry::global().histogram(
-                "stepper.step_microseconds");
-            steps.add(1);
-            seconds.observe(step_timer.seconds() * 1e6);
-        }
-        step_hooks_.notify(state);
     }
 
     /// Assemble the slow-mode tendencies at the given (BC-consistent)
@@ -226,20 +241,6 @@ class TimeStepper {
         }
     }
 
-    // --- hooks for multi-domain (decomposed) orchestration -------------
-    // A decomposed runner drives the same stage structure as step() but
-    // replaces every halo fill with a real neighbor exchange; it needs
-    // access to the stage machinery (see cluster/multidomain.hpp).
-    AcousticStepper<T>& acoustic() { return acoustic_; }
-    Tendencies<T>& slow_tendencies() { return slow_; }
-    State<T>& step_start_state() { return s0_; }
-    State<T>& stage_workspace() { return work_; }
-    /// Advance the tracers of the stage workspace from the step-start
-    /// state by dt_s using the current slow tendencies.
-    void update_stage_tracers(double dt_s) {
-        update_tracers_into(s0_, dt_s, work_);
-    }
-
     /// Fill lateral halos of all prognostic fields and the pressure, as
     /// one parallel region.
     void apply_state_bcs(State<T>& s) const {
@@ -254,6 +255,16 @@ class TimeStepper {
     }
 
   private:
+    /// The single-domain halo policy: every fill is the lateral BC.
+    struct BcHalos {
+        TimeStepper& ts;
+        void refresh(State<T>& s) const { ts.apply_state_bcs(s); }
+        void substep(AcousticStepper<T>& ac, const Tendencies<T>& slow,
+                     double dtau) const {
+            ac.substep(slow, dtau, ts.cfg_.bc);
+        }
+    };
+
     void compute_mass_fluxes_instrumented(const State<T>& bar) {
         // These kernels compute into a one-ring halo extension; count the
         // elements they actually touch so FLOPs/element is mesh-invariant.
@@ -299,10 +310,10 @@ class TimeStepper {
         });
     }
 
-    /// First call: full copy so the workspace carries everything the
-    /// elided per-stage assignments used to (reference fields, z-halo
-    /// content of p and the tracers). Later calls only refresh the
-    /// reference fields, in case the caller rebalanced them.
+    /// First call: full copy so the workspace carries what no stage
+    /// writes (reference fields, z-halo content of p and the tracers).
+    /// Later calls only refresh the reference fields, in case the caller
+    /// rebalanced them.
     void sync_stage_workspace(const State<T>& state) {
         if (!work_synced_) {
             work_ = state;
@@ -320,7 +331,6 @@ class TimeStepper {
     AcousticStepper<T> acoustic_;
     Tendencies<T> slow_;
     MassFluxes<T> fluxes_;
-    State<T> s0_;
     State<T> work_;
     bool work_synced_ = false;
     Array3<T> p_pert_, rho_pert_;

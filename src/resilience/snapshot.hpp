@@ -1,32 +1,20 @@
-// Asynchronous, incremental in-memory rollback snapshots.
+// Double-buffered, incremental in-memory rollback snapshots.
 //
-// The PR 4 rollback point serialized every rank's full state through the
-// checkpoint iostream path ON the driver thread, between steps — ~100%
-// of a memcpy's cost in formatting overhead, paid synchronously every
-// checkpoint interval. This rework replaces it with raw double-buffered
-// field copies taken ASYNCHRONOUSLY, overlapped with the next step's
-// compute:
+// A rollback point is a raw copy of every rank's padded state, kept per
+// rank in plain buffers:
 //
-//   * The copy source is each rank's TimeStepper stage workspace. At
-//     commit time the workspace is bitwise identical to the committed
-//     rank state (the step's epilogue assigns one from the other), and
-//     the next step does not write the workspace until its stage-0
-//     "workspace = bar" assignment — after the slow tendencies and the
-//     whole stage-0 acoustic ladder. That window is where the copies
-//     run, on a dedicated snapshot thread.
-//   * Each rank's copy is guarded by a claim word. The snapshot thread
-//     claims ranks and copies them in the background; a rank worker
-//     that reaches its stage-0 workspace assignment first STEALS its
-//     own copy (claims and copies inline) or, if the snapshot thread is
-//     mid-copy, waits for that rank only. No rank ever waits on another
-//     rank's copy.
-//   * Copies are double-buffered: the staging buffers fill while the
-//     previously committed snapshot stays restorable, and the driver
-//     promotes staging -> committed once the round is complete. A
-//     rollback that arrives mid-round completes the round first (the
-//     sources are still intact — the failed step never reached its
-//     workspace assignment on the faulted ranks... and if it did, the
-//     copy already happened via the barrier).
+//   * Rank-side capture. When a step is due a rollback point, each rank
+//     copies its own freshly computed state into the STAGING side at the
+//     end of its step program, on its own worker thread — no snapshot
+//     thread, no cross-rank coordination, and no rank ever waits on
+//     another rank's copy. The copy runs before the driver injects field
+//     faults or scans the states, so it holds exactly the bits the step
+//     computed.
+//   * Double buffer. The COMMITTED side stays restorable while the
+//     staging side fills. The driver promotes staging -> committed only
+//     after the step's health scan passes; a step that fails (an
+//     exception, a watchdog finding) leaves the committed side in place,
+//     and the next round simply overwrites the abandoned staging copy.
 //   * Incremental: the time-invariant reference fields (rho_ref, p_ref,
 //     rhotheta_ref, cs2) are copied ONCE per configuration and only
 //     restored thereafter — per-field dirty tracking degenerates to
@@ -37,20 +25,15 @@
 //     the rows that changed since that buffer last held them (see
 //     RankFieldCopy). Full copies remain the tested fallback.
 //
-// The restored bytes are identical to what the old synchronous
-// serialization restored: the same full padded arrays, minus the stream
-// framing. Validated against gather()-visible state and replay bitwise
+// The restored bytes are the full padded arrays, so halos revive
+// exactly. Validated against gather()-visible state and replay bitwise
 // equality in tests/test_resilience.cpp.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
+#include <algorithm>
 #include <cstring>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
+#include <limits>
 #include <vector>
 
 #include "src/common/error.hpp"
@@ -177,53 +160,37 @@ class RankFieldCopy {
     bool incremental_ = false;
 };
 
-/// Double-buffered, claim-coordinated asynchronous snapshot store for a
-/// set of ranks. Thread roles:
-///   driver  — capture_sync / launch / finish / restore / invalidate
-///   worker  — the internal snapshot thread (spawned on first launch)
-///   ranks   — barrier(r), called by rank r's step program just before
-///             it overwrites the copy source for rank r
-/// The driver calls are only legal while no rank program is running
-/// (between steps); barrier(r) is only legal between launch and the
-/// driver's next finish().
+/// Double-buffered rollback snapshots of a set of ranks. Thread roles:
+///   driver — configure / invalidate / capture_sync / promote / restore,
+///            only while no rank program is running (between steps);
+///   rank r — stage(r, ...), on rank r's own worker; distinct ranks may
+///            stage concurrently, since each writes only its own buffers.
 template <class T>
-class AsyncSnapshotter {
+class RollbackSnapshots {
   public:
     using Source = std::function<const State<T>&(Index)>;
 
-    ~AsyncSnapshotter() { stop_worker(); }
-
-    /// `async_source(r)` must yield rank r's copy source for background
-    /// rounds (the stage workspace); it is read from the snapshot thread
-    /// and from rank threads. `incremental` turns on j-slab dirty
-    /// tracking in the per-rank copies (see RankFieldCopy); off means
-    /// the tested fallback of full copies every round.
-    void configure(Index ranks, Source async_source,
-                   bool incremental = false) {
-        ASUCA_REQUIRE(ranks >= 1, "snapshotter needs at least one rank");
-        stop_worker();
+    /// `incremental` turns on j-slab dirty tracking in the per-rank
+    /// copies (see RankFieldCopy); off means the tested fallback of full
+    /// copies every round.
+    void configure(Index ranks, bool incremental = false) {
+        ASUCA_REQUIRE(ranks >= 1, "snapshots need at least one rank");
         nranks_ = ranks;
-        async_source_ = std::move(async_source);
-        claims_ = std::make_unique<std::atomic<int>[]>(
-            static_cast<std::size_t>(ranks));
-        for (Index r = 0; r < ranks; ++r) claims_[r] = kIdle;
         for (auto& side : bufs_) {
             side.assign(static_cast<std::size_t>(ranks), RankFieldCopy<T>{});
             for (auto& copy : side) copy.set_incremental(incremental);
         }
         statics_.assign(static_cast<std::size_t>(ranks), RankFieldCopy<T>{});
+        staged_bytes_.assign(static_cast<std::size_t>(ranks), kNotStaged);
         statics_valid_ = false;
         valid_ = false;
-        round_active_ = false;
         last_round_bytes_ = 0;
     }
 
-    bool configured() const { return nranks_ > 0; }
     bool valid() const { return valid_; }
-    bool in_flight() const { return round_active_; }
     long long step() const { return committed_step_; }
     double mass() const { return committed_mass_; }
-    /// Bytes actually copied by the most recently promoted round (a
+    /// Bytes actually copied by the most recently committed round (a
     /// localized-update round copies only its dirty j-slabs when
     /// incremental tracking is on).
     std::size_t last_round_bytes() const { return last_round_bytes_; }
@@ -231,16 +198,14 @@ class AsyncSnapshotter {
     /// Drop every snapshot (and the statics) — the rank states are about
     /// to be replaced wholesale (scatter, checkpoint load).
     void invalidate() {
-        ASUCA_REQUIRE(!round_active_, "invalidate during a snapshot round");
         valid_ = false;
         statics_valid_ = false;
+        discard_staged();
     }
 
-    /// Synchronous capture from `src` on the calling thread, directly
-    /// into the COMMITTED side. Used for the initial rollback point
-    /// (the async source is not initialized before the first step).
+    /// Capture from `src` on the calling thread, directly into the
+    /// COMMITTED side. Used for the initial rollback point.
     void capture_sync(const Source& src, long long step, double mass) {
-        ASUCA_REQUIRE(!round_active_, "capture_sync during a round");
         obs::TraceSpan span("snapshot_sync", "resilience");
         std::size_t bytes = 0;
         for (Index r = 0; r < nranks_; ++r) {
@@ -260,90 +225,37 @@ class AsyncSnapshotter {
         count_bytes(bytes);
     }
 
-    /// Arm a background round: every rank becomes claimable, the
-    /// snapshot thread starts copying from `async_source`. Call only
-    /// between steps, with no previous round active.
-    void launch(long long step, double mass) {
-        ASUCA_REQUIRE(configured(), "snapshotter not configured");
-        ASUCA_REQUIRE(!round_active_, "snapshot round already active");
-        staging_step_ = step;
-        staging_mass_ = mass;
-        round_bytes_.store(0, std::memory_order_relaxed);
-        for (Index r = 0; r < nranks_; ++r) {
-            claims_[r].store(kPending, std::memory_order_release);
-        }
-        round_active_ = true;
-        round_start_ = std::chrono::steady_clock::now();
-        // On a single-hardware-thread host a background copier cannot
-        // overlap with anything — it only adds preemption (a rank
-        // spinning in barrier() on a descheduled mid-copy worker).
-        // Leave every claim pending: ranks steal their own copy at the
-        // stage-0 barrier and finish() sweeps the rest.
-        if (std::thread::hardware_concurrency() <= 1) return;
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            if (!worker_.joinable()) {
-                worker_ = std::thread([this] { worker_loop(); });
-            }
-            ++work_epoch_;
-        }
-        cv_.notify_one();
+    /// Rank r copies its own state into the STAGING side.
+    void stage(Index r, const State<T>& s) {
+        obs::TraceSpan span("snapshot_copy", r, "resilience");
+        const int staging = committed_ ^ 1;
+        staged_bytes_[static_cast<std::size_t>(r)] =
+            bufs_[staging][static_cast<std::size_t>(r)].capture_dynamic(s);
     }
 
-    /// Rank r's step program is about to overwrite rank r's copy source:
-    /// make sure rank r is copied first. Steals the copy inline when the
-    /// snapshot thread has not reached this rank yet; otherwise waits
-    /// for that one rank's in-progress copy.
-    void barrier(Index r) {
-        if (!round_active_) return;
-        if (try_copy(r)) return;
-        // The snapshot thread owns this rank's copy: wait for it. This
-        // is the only place a rank can block on the snapshotter, and
-        // only for its own rank's in-flight memcpy.
-        obs::TraceSpan span("snapshot_wait", r, "resilience");
-        auto& c = claims_[r];
-        for (int spin = 0; c.load(std::memory_order_acquire) != kDone;
-             ++spin) {
-            if (spin > 64) std::this_thread::yield();
+    /// Make the staged round the rollback point of `step`. Every rank
+    /// must have staged since the last promote, restore or invalidate.
+    void promote(long long step, double mass) {
+        std::size_t bytes = 0;
+        for (const std::size_t b : staged_bytes_) {
+            ASUCA_REQUIRE(b != kNotStaged,
+                          "promoting a snapshot round some rank never staged");
+            bytes += b;
         }
-    }
-
-    /// Driver: complete any outstanding copies of the active round on
-    /// the calling thread and promote staging -> committed. Idempotent;
-    /// no-op when no round is active.
-    void finish() {
-        if (!round_active_) return;
-        obs::TraceSpan span("snapshot_finish", "resilience");
-        for (Index r = 0; r < nranks_; ++r) try_copy(r);
-        for (Index r = 0; r < nranks_; ++r) {
-            auto& c = claims_[r];
-            while (c.load(std::memory_order_acquire) != kDone) {
-                std::this_thread::yield();
-            }
-            c.store(kIdle, std::memory_order_relaxed);
-        }
-        round_active_ = false;
         committed_ ^= 1;
-        committed_step_ = staging_step_;
-        committed_mass_ = staging_mass_;
+        committed_step_ = step;
+        committed_mass_ = mass;
         valid_ = true;
-        last_round_bytes_ = round_bytes_.load(std::memory_order_relaxed);
-        count_bytes(last_round_bytes_);
-        if (obs::metrics_enabled()) {
-            static auto& overlap = obs::MetricsRegistry::global().histogram(
-                "resilience.snapshot_overlap_us");
-            overlap.observe(
-                std::chrono::duration_cast<std::chrono::microseconds>(
-                    std::chrono::steady_clock::now() - round_start_)
-                    .count());
-        }
+        last_round_bytes_ = bytes;
+        count_bytes(bytes);
+        discard_staged();
     }
 
     /// Restore the committed snapshot: dynamic fields from the committed
-    /// buffers, static fields from the once-captured copies.
-    void restore(const std::function<State<T>&(Index)>& dst) const {
-        ASUCA_REQUIRE(valid_ && !round_active_,
-                      "no committed snapshot to restore");
+    /// buffers, static fields from the once-captured copies. A staged,
+    /// unpromoted round is dropped.
+    void restore(const std::function<State<T>&(Index)>& dst) {
+        ASUCA_REQUIRE(valid_, "no committed snapshot to restore");
         obs::TraceSpan span("snapshot_restore", "resilience");
         for (Index r = 0; r < nranks_; ++r) {
             State<T>& s = dst(r);
@@ -351,62 +263,15 @@ class AsyncSnapshotter {
                 .restore_dynamic(s);
             statics_[static_cast<std::size_t>(r)].restore_static(s);
         }
+        discard_staged();
     }
 
   private:
-    // Claim states of one rank's copy within the active round.
-    static constexpr int kIdle = 0;     ///< no round / already promoted
-    static constexpr int kPending = 1;  ///< copy not started
-    static constexpr int kClaimed = 2;  ///< someone is copying
-    static constexpr int kDone = 3;     ///< staging buffer holds the copy
+    static constexpr std::size_t kNotStaged =
+        std::numeric_limits<std::size_t>::max();
 
-    /// Claim and copy rank r if still pending. Returns true when rank r
-    /// is NOT owned by another thread afterwards (copied here or
-    /// already done); false when another thread holds the claim.
-    bool try_copy(Index r) {
-        auto& c = claims_[r];
-        int expected = kPending;
-        if (!c.compare_exchange_strong(expected, kClaimed,
-                                       std::memory_order_acq_rel)) {
-            return expected == kDone;
-        }
-        const int staging = committed_ ^ 1;
-        std::size_t bytes = 0;
-        {
-            obs::TraceSpan span("snapshot_copy", r, "resilience");
-            const State<T>& s = async_source_(r);
-            bytes = bufs_[staging][static_cast<std::size_t>(r)]
-                        .capture_dynamic(s);
-        }
-        round_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-        c.store(kDone, std::memory_order_release);
-        return true;
-    }
-
-    void worker_loop() {
-        obs::name_this_thread("snapshot worker");
-        std::uint64_t seen = 0;
-        while (true) {
-            {
-                std::unique_lock<std::mutex> lock(mu_);
-                cv_.wait(lock, [&] {
-                    return stop_ || work_epoch_ != seen;
-                });
-                if (stop_) return;
-                seen = work_epoch_;
-            }
-            for (Index r = 0; r < nranks_; ++r) try_copy(r);
-        }
-    }
-
-    void stop_worker() {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            stop_ = true;
-        }
-        cv_.notify_one();
-        if (worker_.joinable()) worker_.join();
-        stop_ = false;
+    void discard_staged() {
+        std::fill(staged_bytes_.begin(), staged_bytes_.end(), kNotStaged);
     }
 
     static void count_bytes(std::size_t bytes) {
@@ -417,28 +282,17 @@ class AsyncSnapshotter {
     }
 
     Index nranks_ = 0;
-    Source async_source_;
     std::vector<RankFieldCopy<T>> bufs_[2];  ///< double buffer
     std::vector<RankFieldCopy<T>> statics_;  ///< copied once
+    /// Bytes each rank copied into the staging side this round, or
+    /// kNotStaged.
+    std::vector<std::size_t> staged_bytes_;
     bool statics_valid_ = false;
     int committed_ = 0;  ///< which side of bufs_ is restorable
     bool valid_ = false;
     std::size_t last_round_bytes_ = 0;
     long long committed_step_ = 0;
     double committed_mass_ = 0.0;
-    // Active round (staging side = committed_ ^ 1).
-    bool round_active_ = false;
-    long long staging_step_ = 0;
-    double staging_mass_ = 0.0;
-    std::unique_ptr<std::atomic<int>[]> claims_;
-    std::atomic<std::size_t> round_bytes_{0};
-    std::chrono::steady_clock::time_point round_start_{};
-    // Snapshot thread.
-    std::thread worker_;
-    std::mutex mu_;
-    std::condition_variable cv_;
-    std::uint64_t work_epoch_ = 0;
-    bool stop_ = false;
 };
 
 }  // namespace asuca::resilience

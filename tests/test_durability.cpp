@@ -284,8 +284,8 @@ TEST(DurableSnapshot, SnapshotterReportsLocalizedRoundsAsFewerBytes) {
     State<double> s = model.state();
     const auto source = [&](Index) -> const State<double>& { return s; };
 
-    resilience::AsyncSnapshotter<double> snap;
-    snap.configure(1, source, /*incremental=*/true);
+    resilience::RollbackSnapshots<double> snap;
+    snap.configure(1, /*incremental=*/true);
     snap.capture_sync(source, 0, 0.0);
     const std::size_t first = snap.last_round_bytes();
     EXPECT_GT(first, 0u);  // fresh buffers: a full copy
@@ -299,6 +299,16 @@ TEST(DurableSnapshot, SnapshotterReportsLocalizedRoundsAsFewerBytes) {
     State<double> dst = model.state();
     snap.restore([&](Index) -> State<double>& { return dst; });
     expect_bitwise(dst, s);
+
+    // A round staged by a step that never commits is not a rollback
+    // point: restore still returns the committed bits.
+    const State<double> committed = s;
+    s.rhotheta(5, 5, 5) += 0.25;
+    snap.stage(0, s);
+    State<double> after = model.state();
+    snap.restore([&](Index) -> State<double>& { return after; });
+    expect_bitwise(after, committed);
+    EXPECT_EQ(snap.step(), 1);
 }
 
 TEST(DurableSnapshot, GuardedRecoveryIsBitwiseWithAndWithoutIncremental) {

@@ -195,6 +195,45 @@ TEST(MultiDomain, ExchangedHalosEqualPeriodicWrap) {
     EXPECT_EQ(s0.rho(-1, -1, 0), global.rho(23, 11, 0));
 }
 
+TEST(MultiDomain, ExchangesOnlyLiveHalos) {
+    // Per step each rank refreshes its state's halos four times (step
+    // start and after each RK stage) and, per acoustic substep, exchanges
+    // only the two deviation halos a later phase reads: dp_half, then du
+    // and dv. Every exchanged field posts four messages per rank (west,
+    // east, south, north). An exchange of the implicit phase's
+    // dw/drho/dth/dp halos, which nothing reads, breaks the count.
+    struct MetricsGuard {
+        MetricsGuard() {
+            obs::MetricsRegistry::global().reset();
+            obs::MetricsRegistry::global().enable();
+        }
+        ~MetricsGuard() {
+            obs::MetricsRegistry::global().disable();
+            obs::MetricsRegistry::global().reset();
+        }
+    };
+    const auto spec = make_global(
+        bell_mountain(350.0, 3000.0, 12000.0, 6000.0));
+    const auto cfg = make_stepper_cfg();
+    const auto species = SpeciesSet::warm_rain();
+    Grid<double> grid(spec);
+    State<double> initial(grid, species);
+    init_case(grid, species, initial);
+    MultiDomainRunner<double> runner(spec, 2, 2, species, cfg);
+    runner.scatter(initial);
+
+    MetricsGuard guard;
+    runner.step();
+    // F = 6 dynamic fields + 3 tracers; S = 2 + 3 + 6 substeps
+    // (n_short_steps = 6 over the stage fractions 1/3, 1/2, 1).
+    const std::uint64_t fields = 6 + species.count();
+    ASSERT_EQ(fields, 9u);
+    const std::uint64_t substeps = 11;
+    const std::uint64_t per_field = 4 * 4;  // 4 ranks x 4 sides
+    EXPECT_EQ(obs::MetricsRegistry::global().counter("halo.messages").value(),
+              per_field * (4 * fields + 3 * substeps));
+}
+
 TEST(MultiDomain, RejectsIndivisibleDecomposition) {
     const auto spec = make_global(flat_terrain());
     EXPECT_THROW(MultiDomainRunner<double>(spec, 5, 1, SpeciesSet::dry(),

@@ -559,6 +559,42 @@ TEST(ResilienceRecovery, FaultPlanWithoutResilienceIsRejected) {
                  Error);
 }
 
+TEST(ResilienceRecovery, RescatterResetsMassBaseline) {
+    // scatter() replaces every rank state, so the mass-drift check must
+    // measure against the new state's mass: a stale baseline from the
+    // first state reads as ~1.6% drift and fails every replay.
+    const auto spec = make_global();
+    const auto cfg = make_stepper_cfg();
+    const auto species = SpeciesSet::dry();
+    Grid<double> grid(spec);
+    const auto hydrostatic = [&](double theta0) {
+        State<double> s(grid, species);
+        initialize_hydrostatic(
+            grid, AtmosphereProfile::constant_n(theta0, 0.011), 8.0, 3.0, s);
+        return s;
+    };
+    const State<double> a = hydrostatic(292.0);
+    const State<double> b = hydrostatic(300.0);
+
+    auto md = resilient_config();
+    md.resilience.watchdog.mass_drift_tol = 1.0e-6;
+    MultiDomainRunner<double> runner(spec, 2, 2, species, cfg, md);
+    runner.scatter(a);
+    runner.advance(1);
+    runner.scatter(b);
+    ASSERT_NO_THROW(runner.advance(1));
+    EXPECT_EQ(runner.recovery_log(), "");
+
+    MultiDomainRunner<double> fresh(spec, 2, 2, species, cfg, md);
+    fresh.scatter(b);
+    fresh.advance(1);
+    State<double> got(grid, species);
+    State<double> ref(grid, species);
+    runner.gather(got);
+    fresh.gather(ref);
+    expect_bitwise(ref, got);
+}
+
 // ---------------------------------------------------------------------
 // Fused halo integrity (unit level).
 // ---------------------------------------------------------------------
@@ -755,7 +791,7 @@ TEST(WatchdogSampled, ParallelScanFindingIsDeterministic) {
 }
 
 // ---------------------------------------------------------------------
-// Async snapshots (runner level).
+// Rollback snapshots (runner level).
 // ---------------------------------------------------------------------
 
 void expect_padded_bitwise(const State<double>& a, const State<double>& b) {
@@ -782,7 +818,7 @@ void expect_padded_bitwise(const State<double>& a, const State<double>& b) {
     }
 }
 
-// The async double-buffered snapshot must hold exactly the rank states
+// The double-buffered snapshot must hold exactly the rank states
 // as of its capture step — bitwise, including halos and the static
 // reference fields — and a restore from it must replay to the same
 // trajectory as the uninterrupted run.
@@ -834,14 +870,14 @@ TEST(ResilienceSnapshot, ManualRestoreRequiresResilience) {
 }
 
 // ---------------------------------------------------------------------
-// Sampled watchdog + async snapshots end to end.
+// Sampled watchdog + rollback snapshots end to end.
 // ---------------------------------------------------------------------
 
 // A strided watchdog may miss a fresh single-cell corruption; the NaN
 // then spreads through the next step's stencils and implicit solves,
 // the following scan catches it, and rollback lands on the last clean
-// snapshot (snapshots copy the stage workspace, which injected faults
-// never touch). The recovered trajectory must still equal a clean run
+// snapshot (each rank stages its copy before injected faults land).
+// The recovered trajectory must still equal a clean run
 // bitwise, and detection must stay within the configured bound.
 TEST(ResilienceRecovery, SampledWatchdogRecoversBitwiseWithinBound) {
     const auto spec = make_global();
