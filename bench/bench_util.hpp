@@ -93,18 +93,16 @@ inline void note(const std::string& text) {
     std::printf("  %s\n", text.c_str());
 }
 
-/// Write a bench's machine-readable result document and announce the
-/// path on stdout (the driver greps for it). Returns false (after a
-/// stderr note) when the file cannot be written.
+/// Write a bench's machine-readable result document (crash-safely, via
+/// io::json_save) and announce the path on stdout. Returns false (after
+/// a stderr note) when the file cannot be written.
 inline bool write_json(const std::string& path, const io::JsonValue& doc) {
-    std::FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    try {
+        io::json_save(path, doc);
+    } catch (const Error& e) {
+        std::fprintf(stderr, "%s\n", e.what());
         return false;
     }
-    const std::string text = doc.dump() + "\n";
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
     std::printf("\n  wrote %s\n", path.c_str());
     return true;
 }

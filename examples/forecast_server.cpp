@@ -214,7 +214,7 @@ int main(int argc, char** argv) {
         if (store_ok) {
             const std::string bytes = io::read_file(store->epoch_path(
                 "analysis", store->latest_epoch("analysis")));
-            store_ok = io::verify_checkpoint_blob(bytes);
+            store_ok = io::verify_wrapped_blob(bytes);
             std::printf("  durable: analysis epoch %lld on disk, %zu "
                         "bytes, %s\n",
                         store->latest_epoch("analysis"), bytes.size(),

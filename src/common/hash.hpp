@@ -3,8 +3,12 @@
 // FNV-1a hashing shared by the integrity paths (halo channels, checkpoints,
 // scenario fingerprints).  Two granularities:
 //
-//  - fnv1a_bytes: the classic byte-at-a-time variant.  The checkpoint v3
-//    on-disk format is defined in terms of it, so it must never change.
+//  - fnv1a_bytes: the classic byte-at-a-time variant, and the repo's only
+//    byte-wise FNV-1a loop.  The wrapped-blob frame checksum, the v3
+//    per-section checksums, the durable store's file names and
+//    state_fingerprint are all defined in terms of it, so it must never
+//    change.  Note kFnvOffset is 1469598103934665603, not the standard
+//    basis 14695981039346656037; every stored digest depends on it.
 //  - fnv1a_value / fnv1a_elems: element-at-a-time — one xor+multiply per
 //    scalar value instead of one per byte.  ~8x cheaper for double payloads.
 //  - Fnv4 / fnv1a_elems4: the 4-lane paired variant the halo integrity word

@@ -17,38 +17,50 @@
 //
 // v3 appends an FNV-1a checksum to every payload section (each field
 // array and each side-state entry), so a bit-flipped byte anywhere in a
-// checkpoint is rejected with a clean error instead of silently restoring
+// stream is rejected with a clean error instead of silently restoring
 // corrupt physics. Old versions are rejected via the version field.
 //
+// On disk, the v3 stream is the payload of a wrapped blob
+// (src/io/durable_blob.hpp: magic, length, whole-payload FNV-1a, written
+// by atomic rename), the one container every durable file uses.
+// save_checkpoint() frames the stream and commits it by rename, so a
+// failed or interrupted save leaves the previous checkpoint intact;
+// load_checkpoint() reads the file, verifies and strips the frame, and
+// only then stages the stream. This header is the only one that knows
+// the v3 layout.
+//
 // Error-path guarantees (specified by the CheckpointRestartNegative
-// tests): a truncated file, a corrupted section length, a flipped payload
-// bit and a wrong-version header all throw asuca::Error. The FILE loader
-// load_checkpoint() is additionally TRANSACTIONAL — it stages into copies
-// and commits only after the whole file verified, so a failed load leaves
-// the destination state and side-state bitwise untouched. The side-state
-// section is staged-then-committed even on the stream path. The stream
-// loader's field arrays read in place (it deserializes trusted in-memory
-// snapshot buffers on the resilience hot path, where the caller's state
-// is discarded on failure anyway).
+// tests): a damaged frame, a truncated stream, a corrupted section
+// length, a flipped payload bit and a wrong-version header all throw
+// asuca::Error. The FILE loader load_checkpoint() is additionally
+// TRANSACTIONAL — it stages into copies and commits only after the whole
+// stream verified, so a failed load leaves the destination state and
+// side-state bitwise untouched. The side-state section is
+// staged-then-committed even on the stream path. The stream loader's
+// field arrays read in place (it deserializes trusted in-memory snapshot
+// buffers on the resilience hot path, where the caller's state is
+// discarded on failure anyway).
 //
 // The serializer core is stream-based (save_state/load_state) so the
 // resilience layer can snapshot rank states into in-memory buffers for
-// rollback-and-replay; save_checkpoint/load_checkpoint are file wrappers
-// over it.
+// rollback-and-replay and the forecast service can hold analysis blobs
+// in memory; save_checkpoint/load_checkpoint are file wrappers over it.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
-#include <fstream>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/error.hpp"
+#include "src/common/hash.hpp"
 #include "src/core/state.hpp"
 #include "src/field/array2.hpp"
+#include "src/io/durable_blob.hpp"
 
 namespace asuca::io {
 
@@ -76,22 +88,11 @@ inline constexpr std::uint32_t kVersion = 3;
 inline constexpr std::uint8_t kTagScalar = 0;
 inline constexpr std::uint8_t kTagArray2 = 1;
 
-/// FNV-1a over a payload section — the per-section integrity checksum
-/// v3 appends after every payload (same hash family the halo-integrity
-/// and state-fingerprint layers use).
-inline std::uint64_t section_checksum(const void* data, std::size_t bytes) {
-    std::uint64_t h = 1469598103934665603ull;
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t n = 0; n < bytes; ++n) {
-        h ^= p[n];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-
+/// The per-section integrity checksum v3 appends after every payload:
+/// byte-wise FNV-1a, the same hash the wrapped-blob frame uses.
 inline void write_checksum(std::ostream& out, const void* data,
                            std::size_t bytes) {
-    const std::uint64_t sum = section_checksum(data, bytes);
+    const std::uint64_t sum = hash::fnv1a_bytes(data, bytes);
     out.write(reinterpret_cast<const char*>(&sum), sizeof(sum));
 }
 
@@ -102,7 +103,7 @@ inline void verify_checksum(std::istream& in, const void* data,
     in.read(reinterpret_cast<char*>(&stored), sizeof(stored));
     ASUCA_REQUIRE(in.good(),
                   "checkpoint truncated (" << what << " checksum)");
-    ASUCA_REQUIRE(stored == section_checksum(data, bytes),
+    ASUCA_REQUIRE(stored == hash::fnv1a_bytes(data, bytes),
                   "checkpoint corrupted: " << what
                                            << " checksum mismatch (payload "
                                            << "bytes damaged on disk?)");
@@ -336,26 +337,27 @@ double load_state(std::istream& in, State<T>& state,
     return time;
 }
 
-/// Write a checkpoint of `state` at simulation time `time`.
+/// Write a checkpoint of `state` at simulation time `time`: the v3
+/// stream, framed as a wrapped blob and committed by atomic rename. A
+/// save that throws leaves the previous file at `path` intact.
 template <class T>
 void save_checkpoint(const std::string& path, const State<T>& state,
                      double time, const SideState& side = {}) {
-    std::ofstream out(path, std::ios::binary);
-    ASUCA_REQUIRE(out.good(), "cannot open checkpoint " << path);
+    std::ostringstream out(std::ios::binary);
     save_state(out, state, time, side);
-    ASUCA_REQUIRE(out.good(), "checkpoint write failed: " << path);
+    write_file_atomic(path, wrap_blob(std::move(out).str()));
 }
 
 /// Load a checkpoint into `state` (shapes and species must match);
-/// returns the stored simulation time. TRANSACTIONAL: deserializes into
-/// a staged copy and commits only after the whole file (including every
-/// section checksum) verified — a truncated or corrupted file throws and
-/// leaves `state` and the side-state destinations bitwise untouched.
+/// returns the stored simulation time. The frame is verified and
+/// stripped first, then the stream deserializes into a staged copy that
+/// commits only after every section checksum verified — a damaged file
+/// throws and leaves `state` and the side-state destinations bitwise
+/// untouched.
 template <class T>
 double load_checkpoint(const std::string& path, State<T>& state,
                        const SideState& side = {}) {
-    std::ifstream in(path, std::ios::binary);
-    ASUCA_REQUIRE(in.good(), "cannot open checkpoint " << path);
+    std::istringstream in(unwrap_blob(read_file(path)), std::ios::binary);
     State<T> staged = state;
     // read_side already stages its own commits, so a load that fails in
     // any section only ever touched `staged`.

@@ -1,28 +1,29 @@
-// Durable checkpoint blobs: crash-safe file persistence plus a
-// standalone structural verifier for the v3 stream format.
+// Durable blobs: the repo's one on-disk container — crash-safe file
+// writes plus a self-checking frame around an arbitrary payload.
 //
-// The forecast service spills its in-memory checkpoint blobs to disk
-// (src/server/checkpoint_store.hpp) so a tenant's warm-start state
-// survives a process restart and a poisoned worker can replay from the
-// last durable epoch. Two properties matter there:
+// Everything the repo keeps for a restart lands on disk through here:
+// single-domain checkpoints (io::save_checkpoint), multi-rank checkpoints
+// (MultiDomainRunner::save_checkpoint) and the forecast service's
+// durable store (analysis epochs and the JSON result cache,
+// src/server/checkpoint_store.hpp). Two properties matter:
 //
 //   * Atomicity — a crash mid-write must never leave a half-written
 //     file under the final name. write_file_atomic() writes to a
 //     same-directory temp name and commits with std::filesystem::rename,
 //     which POSIX guarantees is atomic within a filesystem: readers see
-//     the old bytes or the new bytes, never a torn mix.
+//     the old bytes or the new bytes, never a torn mix, and a failed
+//     write throws with the previous file still in place.
 //   * Detectability — bytes CAN rot on disk (torn sector under the old
 //     name, bit flip, truncation by a crashed writer on non-POSIX
-//     semantics). verify_checkpoint_blob() walks the v3 section layout
-//     and recomputes every per-section FNV-1a checksum WITHOUT needing a
-//     live State to deserialize into, so a store can reject a damaged
-//     epoch at load time — before anything touches model state — and
-//     fall back to an older epoch.
+//     semantics). wrap_blob() frames a payload as magic + payload length
+//     + whole-payload FNV-1a, and verify_wrapped_blob() rejects a damaged
+//     frame without knowing anything about the payload's meaning, so a
+//     store can skip a damaged epoch before anything touches model state
+//     and fall back to an older one.
 //
-// The verifier duplicates only the v3 FRAMING (header, array meta, side
-// entries), not the semantic validation load_state() does against a
-// model; it is deliberately shape-agnostic so the server can verify
-// blobs for scenarios it has not instantiated.
+// The frame is payload-agnostic: this header knows nothing of the
+// checkpoint v3 stream. src/io/checkpoint.hpp wraps its stream on save
+// and unwraps it before staging on load.
 #pragma once
 
 #include <cstdint>
@@ -32,15 +33,18 @@
 #include <string>
 
 #include "src/common/error.hpp"
-#include "src/io/checkpoint.hpp"
+#include "src/common/hash.hpp"
 
 namespace asuca::io {
 
 /// Read a whole file into a string. Throws asuca::Error when the file
-/// cannot be opened or read.
+/// cannot be opened or read, or is not a regular file (a directory opens
+/// but reports a bogus size).
 inline std::string read_file(const std::string& path) {
+    std::error_code ec;
     std::ifstream in(path, std::ios::binary | std::ios::ate);
-    ASUCA_REQUIRE(in.good(), "cannot open " << path);
+    ASUCA_REQUIRE(in.good() && std::filesystem::is_regular_file(path, ec),
+                  "cannot open " << path);
     const auto bytes = static_cast<std::streamsize>(in.tellg());
     in.seekg(0);
     std::string out(static_cast<std::size_t>(bytes), '\0');
@@ -77,230 +81,57 @@ inline void write_file_atomic(const std::string& path,
 }
 
 namespace detail {
-
-/// Bounded cursor over an in-memory blob for the structural walk below.
-/// Every read is length-checked; `fail` collects the first reason.
-struct BlobCursor {
-    const unsigned char* p;
-    std::size_t left;
-    std::string why;
-
-    bool take(void* dst, std::size_t n, const char* what) {
-        if (!why.empty()) return false;
-        if (left < n) {
-            why = std::string("truncated (") + what + ")";
-            return false;
-        }
-        std::memcpy(dst, p, n);
-        p += n;
-        left -= n;
-        return true;
-    }
-
-    /// Checksum-verified payload section: `n` payload bytes followed by
-    /// the stored FNV-1a word.
-    bool section(std::size_t n, const char* what) {
-        if (!why.empty()) return false;
-        if (left < n + sizeof(std::uint64_t)) {
-            why = std::string("truncated (") + what + ")";
-            return false;
-        }
-        const std::uint64_t sum = section_checksum(p, n);
-        std::uint64_t stored = 0;
-        std::memcpy(&stored, p + n, sizeof(stored));
-        p += n + sizeof(stored);
-        left -= n + sizeof(stored);
-        if (sum != stored) {
-            why = std::string(what) + " checksum mismatch";
-            return false;
-        }
-        return true;
-    }
-};
-
-}  // namespace detail
-
-/// Structurally verify a v3 checkpoint blob: header sanity, every field
-/// array's framing and checksum, every side-state entry's framing and
-/// checksum, and no trailing garbage. Returns true for an intact blob;
-/// on failure returns false with the first problem in `*why` (when
-/// non-null). Never throws, never needs a model — this is the durable
-/// store's load-time gate.
-inline bool verify_checkpoint_blob(const std::string& blob,
-                                   std::string* why = nullptr) {
-    detail::BlobCursor c{
-        reinterpret_cast<const unsigned char*>(blob.data()), blob.size(), {}};
-    const auto fail = [&](const std::string& reason) {
-        if (why != nullptr) *why = reason;
-        return false;
-    };
-
-    std::uint64_t magic = 0;
-    std::uint32_t version = 0, elem_size = 0, n_tracers = 0;
-    double time = 0.0;
-    c.take(&magic, sizeof(magic), "file header");
-    c.take(&version, sizeof(version), "file header");
-    c.take(&elem_size, sizeof(elem_size), "file header");
-    c.take(&n_tracers, sizeof(n_tracers), "file header");
-    c.take(&time, sizeof(time), "file header");
-    if (!c.why.empty()) return fail(c.why);
-    if (magic != detail::kMagic) return fail("not an ASUCA checkpoint");
-    if (version != detail::kVersion) {
-        return fail("unsupported checkpoint version " +
-                    std::to_string(version));
-    }
-    if (elem_size != 4 && elem_size != 8) {
-        return fail("implausible element size " + std::to_string(elem_size));
-    }
-    if (n_tracers > 64) {
-        return fail("implausible tracer count " + std::to_string(n_tracers));
-    }
-    for (std::uint32_t n = 0; n < n_tracers; ++n) {
-        std::int32_t sp = 0;
-        if (!c.take(&sp, sizeof(sp), "species table")) return fail(c.why);
-    }
-
-    // 10 core field arrays (6 dynamic + 4 reference) + one per tracer,
-    // each framed as int64 meta[4] = {ex, ey, ez, halo} then the full
-    // padded payload then the checksum word.
-    const std::uint32_t n_arrays = 10 + n_tracers;
-    for (std::uint32_t a = 0; a < n_arrays; ++a) {
-        std::int64_t meta[4];
-        if (!c.take(meta, sizeof(meta), "array header")) return fail(c.why);
-        if (meta[0] < 1 || meta[1] < 1 || meta[2] < 1 || meta[3] < 0 ||
-            meta[3] > 8) {
-            return fail("implausible array shape in section " +
-                        std::to_string(a));
-        }
-        const std::uint64_t count =
-            static_cast<std::uint64_t>(meta[0] + 2 * meta[3]) *
-            static_cast<std::uint64_t>(meta[1] + 2 * meta[3]) *
-            static_cast<std::uint64_t>(meta[2] + 2 * meta[3]);
-        if (count * elem_size > c.left) return fail("truncated (array data)");
-        if (!c.section(static_cast<std::size_t>(count * elem_size),
-                       "field array")) {
-            return fail(c.why);
-        }
-    }
-
-    // Side-state section: count, then (name, tag, payload+checksum) each.
-    std::uint32_t n_side = 0;
-    if (!c.take(&n_side, sizeof(n_side), "side-state count")) {
-        return fail(c.why);
-    }
-    for (std::uint32_t e = 0; e < n_side; ++e) {
-        std::uint32_t len = 0;
-        if (!c.take(&len, sizeof(len), "side-state name")) return fail(c.why);
-        if (len > 4096 || len > c.left) {
-            return fail("implausible side-state name length");
-        }
-        c.p += len;
-        c.left -= len;
-        std::uint8_t tag = 0xff;
-        if (!c.take(&tag, sizeof(tag), "side-state tag")) return fail(c.why);
-        if (tag == detail::kTagScalar) {
-            if (!c.section(sizeof(double), "side-state scalar")) {
-                return fail(c.why);
-            }
-        } else if (tag == detail::kTagArray2) {
-            std::int64_t meta[3];
-            if (!c.take(meta, sizeof(meta), "side-state array header")) {
-                return fail(c.why);
-            }
-            if (meta[0] < 1 || meta[1] < 1 || meta[2] < 0 || meta[2] > 8) {
-                return fail("implausible side-state array shape");
-            }
-            const std::uint64_t count =
-                static_cast<std::uint64_t>(meta[0] + 2 * meta[2]) *
-                static_cast<std::uint64_t>(meta[1] + 2 * meta[2]);
-            if (count * sizeof(double) > c.left) {
-                return fail("truncated (side-state data)");
-            }
-            if (!c.section(static_cast<std::size_t>(count * sizeof(double)),
-                           "side-state array")) {
-                return fail(c.why);
-            }
-        } else {
-            return fail("unknown side-state tag " + std::to_string(tag));
-        }
-    }
-    if (c.left != 0) {
-        return fail(std::to_string(c.left) + " trailing bytes after the "
-                                             "side-state section");
-    }
-    return true;
-}
-
-// ---------------------------------------------------------------------
-// Generic wrapped blobs: checksum framing for payloads that are NOT v3
-// checkpoints (the forecast service's durable RESULT cache stores
-// compact JSON responses). Same durability contract as above — atomic
-// writes come from write_file_atomic(); detectability comes from this
-// wrapper: magic + payload length + whole-payload FNV-1a, so a store
-// can reject a rotted or truncated entry at load time without knowing
-// anything about the payload's meaning.
-// ---------------------------------------------------------------------
-
-namespace detail {
 /// "ASWB1" — ASuca Wrapped Blob v1 — packed little-endian into a word.
 inline constexpr std::uint64_t kWrapMagic = 0x0000003142575341ull;
-
-inline std::uint64_t wrap_checksum(const std::string& payload) {
-    std::uint64_t h = 1469598103934665603ull;
-    for (const unsigned char ch : payload) {
-        h ^= ch;
-        h *= 1099511628211ull;
-    }
-    return h;
-}
+/// Frame header: magic, payload bytes and payload FNV-1a, one u64 each.
+inline constexpr std::size_t kWrapHeader = 3 * sizeof(std::uint64_t);
 }  // namespace detail
 
 /// Frame an arbitrary payload as a wrapped blob:
 /// [magic u64][payload_bytes u64][fnv1a u64][payload].
 inline std::string wrap_blob(const std::string& payload) {
-    std::string out(3 * sizeof(std::uint64_t), '\0');
-    const std::uint64_t magic = detail::kWrapMagic;
-    const std::uint64_t bytes = payload.size();
-    const std::uint64_t sum = detail::wrap_checksum(payload);
-    std::memcpy(out.data(), &magic, sizeof(magic));
-    std::memcpy(out.data() + 8, &bytes, sizeof(bytes));
-    std::memcpy(out.data() + 16, &sum, sizeof(sum));
+    const std::uint64_t header[3] = {
+        detail::kWrapMagic, payload.size(),
+        hash::fnv1a_bytes(payload.data(), payload.size())};
+    std::string out(detail::kWrapHeader, '\0');
+    std::memcpy(out.data(), header, sizeof(header));
     out += payload;
     return out;
 }
 
-/// Verify a wrapped blob's framing and checksum. Returns true for an
-/// intact blob; on failure returns false with the first problem in
-/// `*why` (when non-null). Never throws — the load-time gate.
+/// Verify a wrapped blob's framing and checksum (hashed in place).
+/// Returns true for an intact blob; on failure returns false with the
+/// first problem in `*why` (when non-null). Never throws.
 inline bool verify_wrapped_blob(const std::string& blob,
                                 std::string* why = nullptr) {
     const auto fail = [&](const std::string& reason) {
         if (why != nullptr) *why = reason;
         return false;
     };
-    if (blob.size() < 3 * sizeof(std::uint64_t)) {
+    if (blob.size() < detail::kWrapHeader) {
         return fail("truncated (wrapped-blob header)");
     }
-    std::uint64_t magic = 0, bytes = 0, stored = 0;
-    std::memcpy(&magic, blob.data(), sizeof(magic));
-    std::memcpy(&bytes, blob.data() + 8, sizeof(bytes));
-    std::memcpy(&stored, blob.data() + 16, sizeof(stored));
-    if (magic != detail::kWrapMagic) return fail("not a wrapped blob");
-    if (bytes != blob.size() - 3 * sizeof(std::uint64_t)) {
-        return fail("wrapped-blob length mismatch");
+    std::uint64_t header[3] = {};
+    std::memcpy(header, blob.data(), sizeof(header));
+    if (header[0] != detail::kWrapMagic) return fail("not a wrapped blob");
+    const std::size_t bytes = blob.size() - detail::kWrapHeader;
+    if (header[1] != bytes) return fail("wrapped-blob length mismatch");
+    if (header[2] != hash::fnv1a_bytes(blob.data() + detail::kWrapHeader,
+                                       bytes)) {
+        return fail("wrapped-blob checksum mismatch");
     }
-    const std::uint64_t sum = detail::wrap_checksum(blob.substr(24));
-    if (sum != stored) return fail("wrapped-blob checksum mismatch");
     return true;
 }
 
-/// Strip the wrapper from a VERIFIED wrapped blob (callers gate on
-/// verify_wrapped_blob first; this throws on a damaged frame).
-inline std::string unwrap_blob(const std::string& blob) {
+/// Verify the frame and strip it in place, returning the payload; throws
+/// asuca::Error naming the first problem when the frame is damaged. Pass
+/// an rvalue (`unwrap_blob(read_file(path))`) and nothing is copied.
+inline std::string unwrap_blob(std::string blob) {
     std::string why;
     ASUCA_REQUIRE(verify_wrapped_blob(blob, &why),
                   "damaged wrapped blob: " << why);
-    return blob.substr(3 * sizeof(std::uint64_t));
+    blob.erase(0, detail::kWrapHeader);
+    return blob;
 }
 
 }  // namespace asuca::io

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/common/error.hpp"
+#include "src/io/durable_blob.hpp"
 
 namespace asuca::io {
 
@@ -436,11 +437,11 @@ inline JsonValue json_load(const std::string& path) {
     return json_parse(buf.str());
 }
 
+/// Write `v` (plus a trailing newline) crash-safely: the document lands
+/// under a temp name and is committed by atomic rename, so a failed
+/// write throws and leaves any previous file at `path` intact.
 inline void json_save(const std::string& path, const JsonValue& v) {
-    std::ofstream out(path);
-    ASUCA_REQUIRE(out.good(), "cannot open " << path << " for writing");
-    out << v.dump() << "\n";
-    ASUCA_REQUIRE(out.good(), "write failed for " << path);
+    write_file_atomic(path, v.dump() + "\n");
 }
 
 }  // namespace asuca::io

@@ -8,29 +8,32 @@
 // after a worker is quarantined. This store keeps the base class's exact
 // get/put semantics and adds:
 //
-//   * Durability — every put() lands on disk via write_file_atomic()
-//     (same-directory temp + atomic rename), so a crash mid-write never
-//     corrupts the committed epoch and a restarted store finds every
-//     blob a previous process put (the constructor rebuilds its index
-//     from the directory).
+//   * Durability — every put() frames the blob with io::wrap_blob (magic,
+//     length, whole-payload FNV-1a) and lands it on disk via
+//     write_file_atomic() (same-directory temp + atomic rename), so a
+//     crash mid-write never corrupts the committed epoch and a restarted
+//     store finds every blob a previous process put (the constructor
+//     rebuilds its index from the directory).
 //   * Epoch retention — puts under the same name get increasing epoch
 //     numbers (<base>.e<N>.ckpt); the latest keep_epochs files are
 //     retained, older ones pruned. The ladder reads the newest epoch
 //     and falls back to older ones when verification fails.
-//   * Verified reloads — a blob read from disk must pass
-//     io::verify_checkpoint_blob (every v3 section checksum) BEFORE it
-//     is served; a damaged epoch is skipped (server.checkpoint_corrupt
-//     counts it) with zero state mutation anywhere, and the next-older
-//     epoch serves instead.
+//   * Verified reloads — an epoch read from disk must pass the frame
+//     check (io::unwrap_blob verifies once and strips the frame once)
+//     BEFORE its payload is served; a damaged epoch is skipped
+//     (server.checkpoint_corrupt counts it) with zero state mutation
+//     anywhere, and the next-older epoch serves instead.
 //   * RAM cache — an LRU of ram_entries blobs makes the hot path (the
 //     same analysis forked into N members) identical in cost to the
 //     in-memory store; only a cache miss or an injected drop touches
 //     disk.
 //
-// Blob names are arbitrary strings (scenario keys contain '|' and '=');
-// files use a sanitized, hash-suffixed base name, and a one-line
-// sidecar (<base>.name) records the raw name so a restarted store can
-// rebuild the name -> files index without guessing.
+// The store is payload-agnostic: the forecast service keeps v3 analysis
+// streams in one instance and compact JSON results in another, both in
+// the same frame. Blob names are arbitrary strings (scenario keys
+// contain '|' and '='); files use a sanitized, hash-suffixed base name,
+// and a one-line sidecar (<base>.name) records the raw name so a
+// restarted store can rebuild the name -> files index without guessing.
 #pragma once
 
 #include <algorithm>
@@ -46,6 +49,7 @@
 #include <vector>
 
 #include "src/common/error.hpp"
+#include "src/common/hash.hpp"
 #include "src/io/durable_blob.hpp"
 #include "src/observability/metrics.hpp"
 #include "src/observability/trace.hpp"
@@ -57,16 +61,6 @@ struct DurableStoreConfig {
     std::string dir;              ///< spill directory (created if missing)
     std::size_t ram_entries = 8;  ///< LRU cache capacity (>= 1)
     int keep_epochs = 2;          ///< on-disk epochs retained per name
-    /// What the store holds, and therefore how a disk reload is
-    /// verified: `checkpoint_v3` walks the v3 checkpoint stream
-    /// (per-section checksums); `wrapped` holds arbitrary payloads —
-    /// the forecast service's durable RESULT cache stores compact JSON
-    /// responses — framed by io::wrap_blob (magic + length +
-    /// whole-payload FNV-1a). put() adds the wrapped frame on the way
-    /// to disk and get() strips it after verification, so callers
-    /// always see raw payload bytes in either format.
-    enum class BlobFormat { checkpoint_v3, wrapped };
-    BlobFormat format = BlobFormat::checkpoint_v3;
 };
 
 class DurableCheckpointStore final : public CheckpointStore {
@@ -88,11 +82,8 @@ class DurableCheckpointStore final : public CheckpointStore {
         NameInfo& info = entry_for(name);
         const long long epoch = info.epochs.empty() ? 1
                                                     : info.epochs.back() + 1;
-        io::write_file_atomic(
-            path_of(info.base, epoch),
-            cfg_.format == DurableStoreConfig::BlobFormat::wrapped
-                ? io::wrap_blob(*shared)
-                : *shared);
+        io::write_file_atomic(path_of(info.base, epoch),
+                              io::wrap_blob(*shared));
         info.epochs.push_back(epoch);
         while (info.epochs.size() >
                static_cast<std::size_t>(cfg_.keep_epochs)) {
@@ -119,27 +110,21 @@ class DurableCheckpointStore final : public CheckpointStore {
         if (it == index_.end()) return nullptr;
         const NameInfo& info = it->second;
         for (auto e = info.epochs.rbegin(); e != info.epochs.rend(); ++e) {
-            std::string bytes;
-            std::string why;
             try {
-                bytes = io::read_file(path_of(info.base, *e));
-            } catch (const Error& err) {
-                why = err.what();
-            }
-            if (why.empty() && verify_and_strip(bytes, &why)) {
+                auto blob = std::make_shared<const std::string>(
+                    io::unwrap_blob(io::read_file(path_of(info.base, *e))));
                 if (obs::metrics_enabled()) {
                     obs::MetricsRegistry::global()
                         .counter("server.checkpoint_disk_reload")
                         .add();
                 }
-                auto blob =
-                    std::make_shared<const std::string>(std::move(bytes));
                 cache_insert(name, blob);
                 return blob;
+            } catch (const Error&) {
+                // Unreadable or damaged epoch: reject it wholesale
+                // (nothing was mutated — verification ran on a private
+                // copy of the bytes) and fall back to the previous one.
             }
-            // Damaged epoch: reject it wholesale (nothing was mutated —
-            // verification ran on a private copy of the bytes) and fall
-            // back to the previous durable epoch.
             obs::trace_instant("checkpoint_corrupt", "server");
             if (obs::metrics_enabled()) {
                 obs::MetricsRegistry::global()
@@ -222,17 +207,6 @@ class DurableCheckpointStore final : public CheckpointStore {
         std::vector<long long> epochs;  ///< surviving epochs, ascending
     };
 
-    /// Format-dispatched load-time gate: verify the on-disk bytes and,
-    /// for wrapped blobs, strip the frame so `bytes` holds the payload.
-    bool verify_and_strip(std::string& bytes, std::string* why) const {
-        if (cfg_.format == DurableStoreConfig::BlobFormat::wrapped) {
-            if (!io::verify_wrapped_blob(bytes, why)) return false;
-            bytes = io::unwrap_blob(bytes);
-            return true;
-        }
-        return io::verify_checkpoint_blob(bytes, why);
-    }
-
     std::string path_of(const std::string& base, long long epoch) const {
         return cfg_.dir + "/" + base + ".e" + std::to_string(epoch) +
                ".ckpt";
@@ -250,14 +224,10 @@ class DurableCheckpointStore final : public CheckpointStore {
                               ch == '-';
             base += safe ? ch : '_';
         }
-        std::uint64_t h = 1469598103934665603ull;
-        for (const char ch : name) {
-            h ^= static_cast<unsigned char>(ch);
-            h *= 1099511628211ull;
-        }
         char hex[20];
         std::snprintf(hex, sizeof(hex), "-%016llx",
-                      static_cast<unsigned long long>(h));
+                      static_cast<unsigned long long>(
+                          hash::fnv1a_bytes(name.data(), name.size())));
         return base + hex;
     }
 

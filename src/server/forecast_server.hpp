@@ -262,10 +262,9 @@ class ForecastServer {
                                    cfg_.store_keep_epochs});
             if (cfg_.durable_results && !cfg_.keep_state) {
                 results_ = std::make_unique<DurableCheckpointStore>(
-                    DurableStoreConfig{
-                        cfg_.store_dir + "/results", cfg_.store_ram_entries,
-                        cfg_.store_keep_epochs,
-                        DurableStoreConfig::BlobFormat::wrapped});
+                    DurableStoreConfig{cfg_.store_dir + "/results",
+                                       cfg_.store_ram_entries,
+                                       cfg_.store_keep_epochs});
             }
         }
         // One source of truth for server event counts: the always-on

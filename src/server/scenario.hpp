@@ -29,6 +29,7 @@
 #include <string>
 
 #include "src/common/error.hpp"
+#include "src/common/hash.hpp"
 #include "src/core/model.hpp"
 #include "src/core/scenarios.hpp"
 #include "src/grid/terrain.hpp"
@@ -254,27 +255,15 @@ class BadRequestError : public Error {
     explicit BadRequestError(const std::string& what) : Error(what) {}
 };
 
-namespace detail {
-inline std::uint64_t fnv1a(std::uint64_t h, const void* data,
-                           std::size_t bytes) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t n = 0; n < bytes; ++n) {
-        h ^= p[n];
-        h *= 1099511628211ull;
-    }
-    return h;
-}
-}  // namespace detail
-
 /// FNV-1a over every prognostic field's full padded bytes, in canonical
 /// field order — the bitwise identity card of a forecast product. Two
 /// runs agree bitwise iff their fingerprints agree (up to hash collision;
 /// tests that must PROVE bitwise identity compare full states instead).
 template <class T>
 std::uint64_t state_fingerprint(const State<T>& s) {
-    std::uint64_t h = 1469598103934665603ull;
+    std::uint64_t h = hash::kFnvOffset;
     auto mix = [&](const Array3<T>& a) {
-        h = detail::fnv1a(h, a.data(), a.size() * sizeof(T));
+        h = hash::fnv1a_bytes(a.data(), a.size() * sizeof(T), h);
     };
     mix(s.rho);
     mix(s.rhou);

@@ -5,13 +5,20 @@
 // surface precipitation and the step counter) and for a decomposed
 // MultiDomainRunner (per-rank padded sections, halos included).
 //
-// The CheckpointRestartNegative suite specifies the error paths: a
-// truncated file, a corrupted section header, a bit-flipped payload (v3
-// per-section checksums) and a wrong-version header must all be rejected
-// with a clean asuca::Error AND leave the destination state bitwise
-// untouched (load_checkpoint is transactional). The multi-rank file is
-// one wrapped blob (magic, length, checksum) written by atomic rename;
-// a truncated or bit-flipped one must leave every rank untouched.
+// Every checkpoint file is one wrapped blob (magic, length, whole-payload
+// checksum; src/io/durable_blob.hpp) around the v3 stream, written by
+// atomic rename, so a save that fails keeps the previous checkpoint.
+//
+// The CheckpointRestartNegative suite specifies the error paths. A
+// damaged frame (flipped byte, cut file, unframed stream) is rejected by
+// the frame check. Stream damage behind an intact frame — a truncated
+// stream, a corrupted section header, a bit-flipped payload (v3
+// per-section checksums) and a wrong-version header — is damaged in the
+// unwrapped payload and re-framed, so the stream parser is the only
+// guard. Every case must throw a clean asuca::Error AND leave the
+// destination state bitwise untouched (load_checkpoint is
+// transactional). A truncated or bit-flipped multi-rank file must leave
+// every rank untouched.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,6 +34,7 @@
 #include "src/core/diagnostics.hpp"
 #include "src/core/scenarios.hpp"
 #include "src/io/checkpoint.hpp"
+#include "src/io/durable_blob.hpp"
 
 namespace asuca {
 namespace {
@@ -118,8 +126,9 @@ TEST(CheckpointRestart, SingleDomainMoistRoundTripIsBitwise) {
 TEST(CheckpointRestart, RejectsVersion1File) {
     const auto path = fs::temp_directory_path() / "asuca_restart_v1.bin";
     {
-        // A well-formed v1 header: correct magic, version = 1.
-        std::ofstream out(path, std::ios::binary);
+        // A well-formed v1 header (correct magic, version = 1) in an
+        // intact frame, so only the stream's version field can reject it.
+        std::ostringstream out(std::ios::binary);
         const std::uint64_t magic = 0x4153554341434b50ull;
         const std::uint32_t version = 1, elem_size = 8, n_tracers = 0;
         const double time = 0.0;
@@ -130,6 +139,7 @@ TEST(CheckpointRestart, RejectsVersion1File) {
         out.write(reinterpret_cast<const char*>(&n_tracers),
                   sizeof(n_tracers));
         out.write(reinterpret_cast<const char*>(&time), sizeof(time));
+        io::write_file_atomic(path.string(), io::wrap_blob(out.str()));
     }
     GridSpec spec;
     spec.nx = 8;
@@ -175,6 +185,34 @@ TEST(CheckpointRestart, RejectsMismatchedSideState) {
     right.add("model.steps", &restored);
     io::load_checkpoint(path.string(), state, right);
     EXPECT_DOUBLE_EQ(restored, 42.0);
+    fs::remove(path);
+}
+
+TEST(CheckpointRestart, FailedSaveKeepsThePreviousCheckpoint) {
+    // A save that cannot complete (here: its temp name is taken by a
+    // directory) must throw and leave the committed checkpoint loadable,
+    // bit for bit — a plain overwrite of the final path would not.
+    const auto path = fs::temp_directory_path() / "asuca_restart_failsave.bin";
+    const fs::path tmp = path.string() + ".tmp";
+    fs::remove_all(tmp);
+    GridSpec spec;
+    spec.nx = 8;
+    spec.ny = 8;
+    spec.nz = 6;
+    Grid<double> grid(spec);
+    State<double> a(grid, SpeciesSet::warm_rain());
+    State<double> b(grid, SpeciesSet::warm_rain());
+    a.rhotheta.fill(300.0);
+    b.rhotheta.fill(301.0);
+    io::save_checkpoint(path.string(), a, 1.0);
+
+    fs::create_directory(tmp);
+    EXPECT_THROW(io::save_checkpoint(path.string(), b, 2.0), Error);
+    fs::remove_all(tmp);
+
+    State<double> got(grid, SpeciesSet::warm_rain());
+    EXPECT_DOUBLE_EQ(io::load_checkpoint(path.string(), got), 1.0);
+    expect_padded_bitwise(a, got);
     fs::remove(path);
 }
 
@@ -287,7 +325,8 @@ class CheckpointRestartNegative : public ::testing::Test {
         io::SideState side;
         side.add("model.steps", &steps);
         io::save_checkpoint(path_.string(), *src_, 3.5, side);
-        bytes_ = slurp(path_);
+        file_ = slurp(path_);
+        bytes_ = io::unwrap_blob(file_);
         // v3 stream layout: 28-byte file header (magic, version,
         // elem_size, n_tracers, time; no species for dry), then per-array
         // sections of 32-byte shape meta + payload + 8-byte checksum.
@@ -298,12 +337,19 @@ class CheckpointRestartNegative : public ::testing::Test {
 
     void TearDown() override { fs::remove(path_); }
 
-    /// Load `bytes` (written to the temp path) into a freshly patterned
-    /// destination; expect Error carrying `what`, and the destination
-    /// state and side scalar bitwise untouched.
+    /// Re-frame the damaged v3 stream `bytes` (an intact frame, so the
+    /// stream parser is the only guard) and expect it rejected.
     void expect_rejected_without_mutation(const std::string& bytes,
                                           const std::string& what) {
-        spit(path_, bytes);
+        expect_file_rejected_without_mutation(io::wrap_blob(bytes), what);
+    }
+
+    /// Load the file `file` (written to the temp path) into a freshly
+    /// patterned destination; expect Error carrying `what`, and the
+    /// destination state and side scalar bitwise untouched.
+    void expect_file_rejected_without_mutation(const std::string& file,
+                                               const std::string& what) {
+        spit(path_, file);
         State<double> dst(*grid_, SpeciesSet::dry());
         fill_pattern(dst, 2.0);
         const State<double> before = dst;
@@ -326,7 +372,8 @@ class CheckpointRestartNegative : public ::testing::Test {
     fs::path path_;
     std::unique_ptr<Grid<double>> grid_;
     std::unique_ptr<State<double>> src_;
-    std::string bytes_;
+    std::string file_;   ///< the checkpoint file as saved (framed)
+    std::string bytes_;  ///< its v3 stream (the frame's payload)
     std::size_t header_bytes_ = 0;
     std::size_t payload_bytes_ = 0;
 };
@@ -341,6 +388,21 @@ TEST_F(CheckpointRestartNegative, IntactFileRoundTrips) {
     EXPECT_DOUBLE_EQ(time, 3.5);
     EXPECT_DOUBLE_EQ(steps, 7.0);
     expect_bitwise(*src_, dst);
+}
+
+TEST_F(CheckpointRestartNegative, DamagedFrameRejected) {
+    // Damage to the file itself, not re-framed: the frame check rejects
+    // it before the stream is parsed.
+    std::string flipped = file_;
+    flipped[flipped.size() / 2] =
+        static_cast<char>(flipped[flipped.size() / 2] ^ 0x01);
+    expect_file_rejected_without_mutation(flipped,
+                                          "wrapped-blob checksum mismatch");
+    expect_file_rejected_without_mutation(file_.substr(0, file_.size() / 2),
+                                          "wrapped-blob length mismatch");
+    // A bare v3 stream (the pre-frame file layout) is not a checkpoint
+    // file any more.
+    expect_file_rejected_without_mutation(bytes_, "not a wrapped blob");
 }
 
 TEST_F(CheckpointRestartNegative, TruncatedFileRejected) {

@@ -1,4 +1,7 @@
-// End-to-end fault-tolerance specification (test-first): the durable
+// End-to-end fault-tolerance specification (test-first): the one on-disk
+// container (atomic writes, the wrapped-blob frame and its pinned
+// checksum), a seeded mutation test of the durable parsers (the frame
+// check and the v3 stream behind both checkpoint loaders), the durable
 // checkpoint store (atomic spills, verified reloads, epoch fallback,
 // restart recovery), incremental rollback snapshots, and the forecast
 // server's retry ladder (worker quarantine, canary reinstatement,
@@ -10,13 +13,19 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
+#include <functional>
+#include <iterator>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "src/cluster/multidomain.hpp"
+#include "src/common/hash.hpp"
 #include "src/core/diagnostics.hpp"
+#include "src/io/checkpoint.hpp"
 #include "src/io/durable_blob.hpp"
 #include "src/resilience/snapshot.hpp"
 #include "src/server/forecast_server.hpp"
@@ -81,8 +90,9 @@ ScenarioSpec decomposed_spec(int steps = 2) {
     return s;
 }
 
-/// A real v3 checkpoint blob (the verifier walks the actual format, so
-/// tests feed it actual serialized states, not synthetic bytes).
+/// A real v3 checkpoint stream, as the server's in-memory store holds it.
+/// The durable store frames whatever payload it is handed; tests feed it
+/// actual serialized states so a reload is checked against real bytes.
 std::string make_blob() {
     const ScenarioSpec spec = canonicalize(small_spec());
     AsucaModel<double> model(build_config(spec));
@@ -94,7 +104,7 @@ std::string make_blob() {
 }
 
 // ---------------------------------------------------------------------
-// durable_blob.hpp: atomic file I/O and structural blob verification.
+// durable_blob.hpp: atomic file I/O and the wrapped-blob frame.
 // ---------------------------------------------------------------------
 
 TEST(DurableBlobIo, AtomicWriteRoundTripsBinaryAndReplaces) {
@@ -111,24 +121,276 @@ TEST(DurableBlobIo, AtomicWriteRoundTripsBinaryAndReplaces) {
         ++files;
     EXPECT_EQ(files, 1u);
     EXPECT_THROW(io::read_file(tmp.file("missing.bin")), Error);
+    EXPECT_THROW(io::read_file(tmp.str()), Error);  // a directory
 }
 
 TEST(DurableBlobVerify, AcceptsIntactRejectsEveryDamageMode) {
-    const std::string good = make_blob();
+    const std::string payload = make_blob();
+    const std::string good = io::wrap_blob(payload);
     std::string why;
-    EXPECT_TRUE(io::verify_checkpoint_blob(good, &why)) << why;
+    EXPECT_TRUE(io::verify_wrapped_blob(good, &why)) << why;
+    EXPECT_EQ(io::unwrap_blob(good), payload);
 
     std::string flipped = good;
     flipped[flipped.size() / 2] ^= 0x01;  // at-rest bit rot
-    EXPECT_FALSE(io::verify_checkpoint_blob(flipped, &why));
+    EXPECT_FALSE(io::verify_wrapped_blob(flipped, &why));
     EXPECT_FALSE(why.empty());
+    EXPECT_THROW(io::unwrap_blob(flipped), Error);
 
     std::string truncated = good.substr(0, good.size() / 2);  // torn write
-    EXPECT_FALSE(io::verify_checkpoint_blob(truncated));
+    EXPECT_FALSE(io::verify_wrapped_blob(truncated));
 
-    EXPECT_FALSE(io::verify_checkpoint_blob(""));
-    EXPECT_FALSE(io::verify_checkpoint_blob("not a checkpoint at all"));
-    EXPECT_FALSE(io::verify_checkpoint_blob(good + "trailing"));
+    EXPECT_FALSE(io::verify_wrapped_blob(""));
+    EXPECT_FALSE(io::verify_wrapped_blob("not a checkpoint at all"));
+    EXPECT_FALSE(io::verify_wrapped_blob(good + "trailing"));
+    EXPECT_FALSE(io::verify_wrapped_blob(payload));  // an unframed stream
+
+    // Known answer: stored checksums, store file names and fingerprints
+    // all depend on the repo's FNV-1a (offset basis 1469598103934665603,
+    // not the standard one), so the digest and the frame must not move.
+    EXPECT_EQ(hash::fnv1a_bytes("foobar", 6), 0x88fad7c0a8ff07f2ull);
+    const std::string frame = io::wrap_blob("foobar");
+    ASSERT_EQ(frame.size(), 24u + 6u);
+    std::uint64_t words[3];
+    std::memcpy(words, frame.data(), sizeof(words));
+    EXPECT_EQ(words[0], 0x0000003142575341ull);  // "ASWB1"
+    EXPECT_EQ(words[1], 6u);
+    EXPECT_EQ(words[2], 0x88fad7c0a8ff07f2ull);
+    EXPECT_EQ(frame.substr(24), "foobar");
+}
+
+// ---------------------------------------------------------------------
+// Seeded mutation test of the durable parsers. Half the cases damage
+// the file, which the frame must always reject; the other half damage
+// the v3 stream and re-frame it, so the stream parser is the only guard
+// and may reject or load. A rejection must be a clean asuca::Error that
+// leaves the destination bitwise untouched.
+// ---------------------------------------------------------------------
+
+/// One seeded mutation of `in`: a bit flip, a run of random bytes,
+/// truncation, appended bytes or an extreme 8-byte word. Half the
+/// positions land in the first or last 128 bytes, where the headers,
+/// the side-state section and the frame live. Never returns `in`.
+std::string mutate(const std::string& in, std::mt19937_64& rng) {
+    const auto below = [&](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    const auto position = [&](std::size_t n) {
+        const std::size_t edge = std::min<std::size_t>(n, 128);
+        switch (below(4)) {
+            case 0: return below(edge);
+            case 1: return n - 1 - below(edge);
+            default: return below(n);
+        }
+    };
+    static constexpr std::uint64_t kExtreme[] = {
+        0ull,
+        ~0ull,
+        0x7fffffffffffffffull,
+        0x8000000000000000ull,
+        0x7ff8000000000000ull,  // quiet NaN
+        0xfff0000000000000ull,  // -inf
+        0x00000000ffffffffull,
+        0x0000000100000000ull};
+    std::string out = in;
+    switch (below(5)) {
+        case 0:  // bit flip
+            out[position(out.size())] ^= static_cast<char>(1u << below(8));
+            break;
+        case 1: {  // run of random bytes
+            const std::size_t at = position(out.size());
+            const std::size_t len =
+                1 + below(std::min<std::size_t>(64, out.size() - at));
+            for (std::size_t k = 0; k < len; ++k) {
+                out[at + k] = static_cast<char>(rng());
+            }
+            break;
+        }
+        case 2:  // truncation
+            out.resize(below(out.size()));
+            break;
+        case 3: {  // appended bytes
+            const std::size_t len = 1 + below(32);
+            for (std::size_t k = 0; k < len; ++k) {
+                out.push_back(static_cast<char>(rng()));
+            }
+            break;
+        }
+        default: {  // extreme 8-byte word
+            const std::size_t at = position(out.size() - 7);
+            std::memcpy(out.data() + at,
+                        &kExtreme[below(std::size(kExtreme))], 8);
+            break;
+        }
+    }
+    if (out == in) out[below(out.size())] ^= 0x01;
+    return out;
+}
+
+/// Outcome tally of one fuzz run.
+struct FuzzTally {
+    int frame_rejected = 0;
+    int stream_rejected = 0;
+    int stream_loaded = 0;
+};
+
+/// Run `cases` seeded mutations of the checkpoint file `intact` through
+/// `load` (which loads `path`). `untouched` checks the destination after
+/// a rejection; `reset` restores it after a re-framed payload loaded.
+FuzzTally fuzz_checkpoint_file(const std::string& path,
+                               const std::string& intact, int cases,
+                               std::uint64_t seed,
+                               const std::function<void()>& load,
+                               const std::function<void()>& untouched,
+                               const std::function<void()>& reset) {
+    const std::string payload = io::unwrap_blob(intact);
+    std::mt19937_64 rng(seed);
+    FuzzTally tally;
+    for (int c = 0; c < cases; ++c) {
+        const bool reframed = (c % 2) == 1;
+        io::write_file_atomic(path, reframed
+                                        ? io::wrap_blob(mutate(payload, rng))
+                                        : mutate(intact, rng));
+        try {
+            load();
+            EXPECT_TRUE(reframed) << "case " << c << ": damaged frame loaded";
+            ++tally.stream_loaded;
+            reset();
+        } catch (const Error& e) {
+            if (reframed) {
+                ++tally.stream_rejected;
+            } else {
+                ++tally.frame_rejected;
+                EXPECT_NE(std::string(e.what()).find("damaged wrapped blob"),
+                          std::string::npos)
+                    << "case " << c << ": " << e.what();
+            }
+            untouched();
+        } catch (...) {
+            ADD_FAILURE() << "case " << c << ": non-asuca::Error exception";
+        }
+        if (::testing::Test::HasFailure()) break;  // one report, not 900
+    }
+    return tally;
+}
+
+bool padded_equal(const State<double>& a, const State<double>& b) {
+    const auto eq = [](const Array3<double>& x, const Array3<double>& y) {
+        return x.size() == y.size() &&
+               std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) ==
+                   0;
+    };
+    if (a.tracers.size() != b.tracers.size()) return false;
+    for (std::size_t n = 0; n < a.tracers.size(); ++n) {
+        if (!eq(a.tracers[n], b.tracers[n])) return false;
+    }
+    return eq(a.rho, b.rho) && eq(a.rhou, b.rhou) && eq(a.rhov, b.rhov) &&
+           eq(a.rhow, b.rhow) && eq(a.rhotheta, b.rhotheta) &&
+           eq(a.p, b.p) && eq(a.rho_ref, b.rho_ref) &&
+           eq(a.p_ref, b.p_ref) && eq(a.rhotheta_ref, b.rhotheta_ref) &&
+           eq(a.cs2, b.cs2);
+}
+
+TEST(DurableFuzz, SingleDomainCheckpointRejectsCleanlyOrLoads) {
+    TempDir tmp("asuca_durable_fuzz_single");
+    const std::string path = tmp.file("single.ckpt");
+    ScenarioSpec spec = small_spec(1);
+    spec.scenario = "mountain_wave";
+    spec.physics = true;
+    spec.nx = 8;
+    spec.ny = 8;
+    spec.nz = 6;
+    spec = canonicalize(spec);
+    AsucaModel<double> model(build_config(spec));
+    init_model(model, spec);
+    ASSERT_EQ(model.state().tracers.size(), 3u);  // warm rain
+    model.run(1);
+    double steps = 1.0;
+    Array2<double> precip(8, 8, 1, 0.5);
+    io::SideState side;
+    side.add("model.steps", &steps);
+    side.add("precip", &precip);
+    io::save_checkpoint(path, model.state(), model.time(), side);
+    const std::string intact = io::read_file(path);
+
+    // The destination has a different history, so a part-restore shows.
+    AsucaModel<double> other(build_config(spec));
+    init_model(other, spec);
+    const State<double> before = other.state();
+    State<double> dst = before;
+    double dst_steps = -1.0;
+    Array2<double> dst_precip(8, 8, 1, -2.0);
+    const Array2<double> precip_before = dst_precip;
+    io::SideState dst_side;
+    dst_side.add("model.steps", &dst_steps);
+    dst_side.add("precip", &dst_precip);
+
+    const FuzzTally tally = fuzz_checkpoint_file(
+        path, intact, 600, 0x5eed0001ull,
+        [&] { io::load_checkpoint(path, dst, dst_side); },
+        [&] {
+            EXPECT_TRUE(padded_equal(dst, before));
+            EXPECT_EQ(dst_steps, -1.0);
+            EXPECT_EQ(std::memcmp(dst_precip.data(), precip_before.data(),
+                                  dst_precip.size() * sizeof(double)),
+                      0);
+        },
+        [&] {
+            dst = before;
+            dst_steps = -1.0;
+            dst_precip = precip_before;
+        });
+    EXPECT_EQ(tally.frame_rejected, 300);
+    EXPECT_GT(tally.stream_rejected, 0);
+}
+
+TEST(DurableFuzz, MultiRankCheckpointRejectsCleanlyOrLoads) {
+    using cluster::MultiDomainRunner;
+    TempDir tmp("asuca_durable_fuzz_multi");
+    const std::string path = tmp.file("multi.ckpt");
+    const std::string baseline = tmp.file("baseline.ckpt");
+    GridSpec grid_spec;
+    grid_spec.nx = 16;
+    grid_spec.ny = 8;
+    grid_spec.nz = 6;
+    TimeStepperConfig cfg;
+    cfg.dt = 4.0;
+    cfg.n_short_steps = 4;
+    const auto species = SpeciesSet::dry();
+    Grid<double> grid(grid_spec);
+    State<double> initial(grid, species);
+    initialize_hydrostatic(grid, AtmosphereProfile::isothermal(280.0), 5.0,
+                           0.0, initial);
+
+    MultiDomainRunner<double> a(grid_spec, 2, 1, species, cfg);
+    a.scatter(initial);
+    a.step();
+    a.save_checkpoint(path);
+    const std::string intact = io::read_file(path);
+
+    // Destination: a runner still at step 0. Its own checkpoint restores
+    // it exactly after a re-framed payload loaded.
+    MultiDomainRunner<double> b(grid_spec, 2, 1, species, cfg);
+    b.scatter(initial);
+    b.save_checkpoint(baseline);
+    std::vector<State<double>> before;
+    for (Index r = 0; r < b.rank_count(); ++r) {
+        before.push_back(b.rank_state(r));
+    }
+
+    const FuzzTally tally = fuzz_checkpoint_file(
+        path, intact, 300, 0x5eed0002ull, [&] { b.load_checkpoint(path); },
+        [&] {
+            EXPECT_EQ(b.step_index(), 0);
+            for (Index r = 0; r < b.rank_count(); ++r) {
+                EXPECT_TRUE(padded_equal(
+                    b.rank_state(r), before[static_cast<std::size_t>(r)]))
+                    << "rank " << r;
+            }
+        },
+        [&] { b.load_checkpoint(baseline); });
+    EXPECT_EQ(tally.frame_rejected, 150);
+    EXPECT_GT(tally.stream_rejected, 0);
 }
 
 // ---------------------------------------------------------------------
@@ -143,11 +405,12 @@ TEST(DurableStore, PutSpillsToDiskAndGetServesIdenticalBytes) {
     EXPECT_TRUE(store.contains("analysis"));
     EXPECT_EQ(store.size(), 1u);
     EXPECT_EQ(store.latest_epoch("analysis"), 1);
-    // The on-disk epoch is the committed bytes, verifiable standalone.
+    // The on-disk epoch is the committed bytes in the one frame,
+    // verifiable standalone.
     const std::string on_disk =
         io::read_file(store.epoch_path("analysis", 1));
-    EXPECT_EQ(on_disk, blob);
-    EXPECT_TRUE(io::verify_checkpoint_blob(on_disk));
+    EXPECT_EQ(on_disk, io::wrap_blob(blob));
+    EXPECT_TRUE(io::verify_wrapped_blob(on_disk));
     // RAM hit and (after an eviction) verified disk reload agree.
     ASSERT_NE(store.get("analysis"), nullptr);
     EXPECT_EQ(*store.get("analysis"), blob);
@@ -213,7 +476,7 @@ TEST(DurableStore, CorruptedNewestEpochFallsBackToThePreviousOne) {
         const CheckpointStore::Blob got = store.get("analysis");
         ASSERT_NE(got, nullptr) << (truncate ? "truncate" : "bit-flip");
         EXPECT_EQ(*got, blob);
-        EXPECT_FALSE(io::verify_checkpoint_blob(
+        EXPECT_FALSE(io::verify_wrapped_blob(
             io::read_file(store.epoch_path("analysis", 2))));
     }
 }
@@ -435,7 +698,7 @@ TEST(DurableLadder, CorruptedEpochReplaysFromThePriorDurableEpoch) {
     ASSERT_NE(res.state, nullptr);
 
     // The injected fault really damaged epoch 2 on disk...
-    EXPECT_FALSE(io::verify_checkpoint_blob(
+    EXPECT_FALSE(io::verify_wrapped_blob(
         io::read_file(store->epoch_path("analysis", 2))));
     // ...yet the request continued bitwise from the surviving epoch, and
     // nothing escalated to the worker-level ladder.

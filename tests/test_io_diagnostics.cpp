@@ -1,4 +1,5 @@
-// Tests for the I/O writers and global diagnostics.
+// Tests for the I/O writers (including the crash-safe JSON writer) and
+// global diagnostics.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -8,6 +9,8 @@
 
 #include "src/core/diagnostics.hpp"
 #include "src/core/initial.hpp"
+#include "src/io/durable_blob.hpp"
+#include "src/io/json.hpp"
 #include "src/io/writers.hpp"
 
 namespace asuca {
@@ -83,6 +86,25 @@ TEST(IoWriters, ConstantFieldPgmDoesNotDivideByZero) {
     TempDir tmp;
     Array2<double> a(3, 3, 0, 7.0);
     EXPECT_NO_THROW(io::write_pgm(tmp.file("c.pgm"), a));
+}
+
+TEST(IoWriters, FailedJsonSaveKeepsThePreviousFile) {
+    // json_save commits by atomic rename: when the write cannot complete
+    // (here: its temp name is taken by a directory) it throws, and the
+    // file already at the path keeps its bytes.
+    TempDir tmp;
+    const std::string path = tmp.file("doc.json");
+    io::JsonValue old_doc;
+    old_doc.set("version", 1);
+    io::json_save(path, old_doc);
+    const std::string old_bytes = io::read_file(path);
+    EXPECT_EQ(io::json_parse(old_bytes).dump(), old_doc.dump());
+
+    fs::create_directory(path + ".tmp");
+    io::JsonValue new_doc;
+    new_doc.set("version", 2);
+    EXPECT_THROW(io::json_save(path, new_doc), Error);
+    EXPECT_EQ(io::read_file(path), old_bytes);
 }
 
 TEST(Diagnostics, TotalMassMatchesAnalyticVolumeIntegral) {
