@@ -51,23 +51,23 @@ int main() {
                 "(GT200 serializes strided warps)\n",
                 zxy.seconds / xzy.seconds);
 
-    // Real measured whole-step A/B on this host: layout x column solver
-    // (scalar column-at-a-time vs batched W-column sweep + layout-aware
-    // kernels). The batched path leans on i-inner unit-stride, so its
-    // gain and the layout's interact — hence the full 2x2.
+    // Real measured whole-step A/B on the running host: layout x batch
+    // width (one column per sweep vs the auto W-column sweep, both with
+    // the layout-aware kernels). The batched sweep leans on i-inner
+    // unit-stride, so its gain and the layout's interact — hence the
+    // full 2x2.
     const double t_xzy = host_step_seconds(Layout::XZY);
     const double t_zxy = host_step_seconds(Layout::ZXY);
-    const double t_xzy_scalar = host_step_seconds(Layout::XZY, 1);
-    const double t_zxy_scalar = host_step_seconds(Layout::ZXY, 1);
-    std::printf("\n  measured host step [ms]     %10s %10s\n", "scalar",
+    const double t_xzy_w1 = host_step_seconds(Layout::XZY, 1);
+    const double t_zxy_w1 = host_step_seconds(Layout::ZXY, 1);
+    std::printf("\n  measured host step [ms]     %10s %10s\n", "W=1",
                 "batched");
     std::printf("  xzy layout                  %10.1f %10.1f\n",
-                t_xzy_scalar * 1e3, t_xzy * 1e3);
+                t_xzy_w1 * 1e3, t_xzy * 1e3);
     std::printf("  kij layout                  %10.1f %10.1f\n",
-                t_zxy_scalar * 1e3, t_zxy * 1e3);
+                t_zxy_w1 * 1e3, t_zxy * 1e3);
     std::printf("  layout ratio (batched):     %10.2fx\n", t_zxy / t_xzy);
-    std::printf("  solver ratio (xzy):         %10.2fx\n",
-                t_xzy_scalar / t_xzy);
+    std::printf("  width ratio (xzy):          %10.2fx\n", t_xzy_w1 / t_xzy);
     note("paper: kij is the CPU-friendly order for z-marching Fortran;");
     note("the GPU port must use xzy or lose close to an order of magnitude.");
     return 0;

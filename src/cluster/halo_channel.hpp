@@ -202,11 +202,12 @@ class HaloChannel {
         };
         if (guarded_) {
             const bool ok = guarded_wait([&] { return poisoned() || have_slot(); });
-            if (poisoned()) throw_fault(HaloFault::Poisoned, owner_rank_);
+            if (poisoned())
+                throw_fault(HaloFault::Poisoned, owner_rank_, next_post_);
             if (!ok) {
                 // Backpressure timeout: the consumer (the owner of this
                 // channel) stopped draining.
-                throw_fault(HaloFault::Timeout, owner_rank_);
+                throw_fault(HaloFault::Timeout, owner_rank_, next_post_);
             }
         } else {
             backoff_wait(consumed_,
@@ -267,15 +268,16 @@ class HaloChannel {
         };
         if (guarded_) {
             const bool ok = guarded_wait([&] { return poisoned() || have_msg(); });
-            if (poisoned()) throw_fault(HaloFault::Poisoned, peer_rank_);
+            if (poisoned())
+                throw_fault(HaloFault::Poisoned, peer_rank_, next_receive_);
             if (!ok) {
                 // The producer (peer) missed its deadline.
-                throw_fault(HaloFault::Timeout, peer_rank_);
+                throw_fault(HaloFault::Timeout, peer_rank_, next_receive_);
             }
             const auto& slot = slots_[next_receive_ % kSlots];
             if (guard_.integrity &&
                 meta_seq_[next_receive_ % kSlots] != next_receive_) {
-                throw_fault(HaloFault::Corrupt, peer_rank_);
+                throw_fault(HaloFault::Corrupt, peer_rank_, next_receive_);
             }
             return slot;
         }
@@ -296,7 +298,7 @@ class HaloChannel {
             words.add(slots_[next_receive_ % kSlots].size());
         }
         if (meta_sum_[next_receive_ % kSlots] != sum) {
-            throw_fault(HaloFault::Corrupt, peer_rank_);
+            throw_fault(HaloFault::Corrupt, peer_rank_, next_receive_);
         }
     }
 
@@ -368,11 +370,11 @@ class HaloChannel {
         std::memcpy(&v, bytes, sizeof(T));
     }
 
-    [[noreturn]] void throw_fault(HaloFault fault, Index suspect) const {
-        const std::uint64_t seq =
-            fault == HaloFault::Timeout && suspect == owner_rank_
-                ? next_post_
-                : next_receive_;
+    /// `seq` is the throwing side's own counter (next_post_ on the
+    /// producer, next_receive_ on the consumer): the other side's plain
+    /// counter may be written concurrently.
+    [[noreturn]] void throw_fault(HaloFault fault, Index suspect,
+                                  std::uint64_t seq) const {
         std::string what = std::string("halo channel ") +
                            halo_fault_name(fault) + ": rank " +
                            std::to_string(owner_rank_) + " " +

@@ -54,12 +54,11 @@ struct AcousticConfig {
     /// of the paper's kij->xzy layout change, Sec. IV-A-1): W columns are
     /// swept simultaneously with the column index innermost and
     /// unit-stride, so the Thomas recurrences auto-vectorize.
-    ///   0   — auto: ASUCA_COLUMN_BATCH env override, else the SIMD
-    ///         default (field/simd.hpp);
-    ///   1   — the original scalar one-column-at-a-time sweep;
-    ///   W>1 — batched with exactly W columns per sweep.
+    ///   0   — auto: the SIMD default (field/simd.hpp);
+    ///   W>0 — exactly W columns per sweep (W=1 marches one column at a
+    ///         time through the same code).
     /// Every width produces bitwise-identical results on default builds
-    /// (each lane runs the scalar op sequence; see DESIGN.md).
+    /// (each lane runs the same op sequence; see DESIGN.md).
     Index column_batch = 0;
 };
 
@@ -98,7 +97,7 @@ class AcousticStepper {
                           << config.beta);
     }
 
-    /// Resolved column-batch width (config / env / SIMD default).
+    /// Resolved column-batch width (config value or SIMD default).
     Index column_batch_width() const { return batch_w_; }
 
     /// Freeze the linearization coefficients at the RK-stage state.
@@ -287,12 +286,12 @@ class AcousticStepper {
                               static_cast<std::uint64_t>(
                                   (i1 - i0) * (j1 - j0) * nz));
             parallel_for_range(j0, j1, [&](Index jb, Index je) {
-            // Rolling buffers of the vertical deviation flux at the two
-            // faces bracketing level k (deviation_fz values, computed once
-            // per face instead of twice per cell). The inner i loops are
-            // unit-stride under Layout::XZY and carry no branches, so they
-            // auto-vectorize; per-cell arithmetic is unchanged, hence
-            // bitwise identical to the unbuffered form.
+            // Rolling buffers of the vertical deviation flux (J rho u3)' at
+            // the two faces bracketing level k (zero at the bottom/top
+            // faces), computed once per face instead of twice per cell.
+            // The inner i loops are unit-stride under Layout::XZY and carry
+            // no branches, so they auto-vectorize; per-cell arithmetic is
+            // unchanged, hence bitwise identical to the unbuffered form.
             const auto wi = static_cast<std::size_t>(i1 - i0);
             std::vector<T> fz_lo(wi), fz_hi(wi);
             for (Index j = jb; j < je; ++j) {
@@ -418,193 +417,14 @@ class AcousticStepper {
         });
     }
 
-    /// Deviation contravariant flux (J * rho * u3)' at z-face k, using the
-    /// *current* deviations; zero at the bottom/top faces.
-    T deviation_fz(Index i, Index j, Index k) const {
-        const Index nz = grid_.nz();
-        if (k <= 0 || k >= nz) return T(0);
-        const auto& zx = grid_.slope_x_zface();
-        const auto& zy = grid_.slope_y_zface();
-        const T ru = T(0.25) * (du_(i, j, k - 1) + du_(i + 1, j, k - 1) +
-                                du_(i, j, k) + du_(i + 1, j, k));
-        const T rv = T(0.25) * (dv_(i, j, k - 1) + dv_(i, j + 1, k - 1) +
-                                dv_(i, j, k) + dv_(i, j + 1, k));
-        return dw_(i, j, k) - ru * zx(i, j, k) - rv * zy(i, j, k);
-    }
-
-    /// Metric part only: (rho u zx + rho v zy)' at z-face k (new du, dv).
-    T deviation_metric(Index i, Index j, Index k) const {
-        const Index nz = grid_.nz();
-        const auto& zx = grid_.slope_x_zface();
-        const auto& zy = grid_.slope_y_zface();
-        const Index km = k > 0 ? k - 1 : 0;
-        const Index kc = k < nz ? k : nz - 1;
-        const T ru = T(0.25) * (du_(i, j, km) + du_(i + 1, j, km) +
-                                du_(i, j, kc) + du_(i + 1, j, kc));
-        const T rv = T(0.25) * (dv_(i, j, km) + dv_(i, j + 1, km) +
-                                dv_(i, j, kc) + dv_(i, j + 1, kc));
-        return ru * zx(i, j, k) + rv * zy(i, j, k);
-    }
-
     /// Phase 3: build and solve the vertical implicit (Helmholtz) system,
     /// then update rho', theta', p' over the interior columns. Reads only
     /// interior cells of the deviations; leaves their halos as they were.
-    /// Dispatches between the original scalar
-    /// one-column-at-a-time sweep (width 1) and the column-batched sweep
-    /// (width W columns marched simultaneously); both produce bitwise
-    /// identical results on default builds.
+    /// The sweep marches batch_w_ columns of one j-row simultaneously over
+    /// interleaved column-block workspaces (lane index innermost and
+    /// unit-stride, the CPU analogue of the paper's xzy storage order,
+    /// Sec. IV-A-1); at width 1 it marches one column at a time.
     void phase_vertical_implicit(const Tendencies<T>& slow, double dtau) {
-        if (batch_w_ == 1) {
-            phase_vertical_implicit_scalar(slow, dtau);
-        } else {
-            phase_vertical_implicit_batched(slow, dtau, batch_w_);
-        }
-        update_after_implicit();
-    }
-
-    /// The original one-column-at-a-time Helmholtz sweep (kept as the
-    /// reference implementation the batched path is tested against).
-    void phase_vertical_implicit_scalar(const Tendencies<T>& slow,
-                                        double dtau) {
-        const Index nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
-        const T rdx = T(1.0 / grid_.dx());
-        const T rdy = T(1.0 / grid_.dy());
-        const auto& jc = grid_.jacobian();
-        const auto& jzf = grid_.jacobian_zface();
-        const auto& jxf = grid_.jacobian_xface();
-        const auto& jyf = grid_.jacobian_yface();
-        const T beta = T(cfg_.beta);
-        const T one_m_beta = T(1.0) - beta;
-        const T g = T(constants::g);
-        const T dt = T(dtau);
-
-        const std::size_t n = static_cast<std::size_t>(nz);
-
-        {
-        KernelScope scope("helmholtz_1d", {/*reads=*/12, /*writes=*/4, 12},
-                          static_cast<std::uint64_t>(nx * ny * nz));
-        parallel_for(ny, [&](Index jb, Index je) {
-        // Per-thread column workspaces (the per-thread registers of the
-        // paper's z-marching Helmholtz kernel, Fig. 2b).
-        std::vector<T> Cv(n), Rv(n), Dv(n), hrho(n), hth(n);
-        std::vector<T> fzs(n + 1), thfz(n + 1), dwold(n + 1);
-        std::vector<T> sub(n), dia(n), sup(n), rhs(n), scratch(n);
-        for (Index j = jb; j < je; ++j) {
-            for (Index i = 0; i < nx; ++i) {
-                // Per-column setup.
-                for (Index k = 0; k <= nz; ++k) {
-                    const auto ku = static_cast<std::size_t>(k);
-                    thfz[ku] = thf_z_(i, j, k);
-                    dwold[ku] = dw_(i, j, k);
-                    if (k == 0 || k == nz) {
-                        fzs[ku] = T(0);
-                    } else {
-                        fzs[ku] = one_m_beta * dw_(i, j, k) -
-                                  deviation_metric(i, j, k);
-                    }
-                }
-                for (Index k = 0; k < nz; ++k) {
-                    const auto ku = static_cast<std::size_t>(k);
-                    const T rdz = T(1.0 / grid_.dzeta(k));
-                    Dv[ku] = dt * beta * rdz / jc(i, j, k);
-                    // Horizontal deviation divergences with new du, dv.
-                    const T hdiv_rho =
-                        (jxf(i + 1, j, k) * du_(i + 1, j, k) -
-                         jxf(i, j, k) * du_(i, j, k)) *
-                            rdx +
-                        (jyf(i, j + 1, k) * dv_(i, j + 1, k) -
-                         jyf(i, j, k) * dv_(i, j, k)) *
-                            rdy;
-                    const T hdiv_th =
-                        (jxf(i + 1, j, k) * thf_x_(i + 1, j, k) *
-                             du_(i + 1, j, k) -
-                         jxf(i, j, k) * thf_x_(i, j, k) * du_(i, j, k)) *
-                            rdx +
-                        (jyf(i, j + 1, k) * thf_y_(i, j + 1, k) *
-                             dv_(i, j + 1, k) -
-                         jyf(i, j, k) * thf_y_(i, j, k) * dv_(i, j, k)) *
-                            rdy;
-                    hrho[ku] = -hdiv_rho / jc(i, j, k);
-                    hth[ku] = -hdiv_th / jc(i, j, k);
-                    const T vflux_rho =
-                        (fzs[ku + 1] - fzs[ku]) * rdz / jc(i, j, k);
-                    const T vflux_th = (thfz[ku + 1] * fzs[ku + 1] -
-                                        thfz[ku] * fzs[ku]) *
-                                       rdz / jc(i, j, k);
-                    Rv[ku] = drho_(i, j, k) +
-                             dt * (hrho[ku] + slow.rho(i, j, k) - vflux_rho);
-                    Cv[ku] = dth_(i, j, k) +
-                             dt * (hth[ku] + slow.rhotheta(i, j, k) -
-                                   vflux_th);
-                }
-                // Assemble the tridiagonal system for W' at faces 1..nz-1.
-                for (Index k = 1; k < nz; ++k) {
-                    const auto ku = static_cast<std::size_t>(k);
-                    const auto km = ku - 1;
-                    const T gk = dt / (jzf(i, j, k) *
-                                       T(grid_.zeta_center(k) -
-                                         grid_.zeta_center(k - 1)));
-                    const T cpt_k = cpt_(i, j, k);
-                    const T cpt_m = cpt_(i, j, k - 1);
-                    const T gb = gk * beta;
-                    const T hgb = T(0.5) * dt * g * beta;
-
-                    T a = -gb * cpt_m * Dv[km] * thfz[km] + hgb * Dv[km];
-                    T b = T(1) +
-                          gb * (cpt_k * Dv[ku] * thfz[ku] +
-                                cpt_m * Dv[km] * thfz[ku]) +
-                          hgb * (Dv[ku] - Dv[km]);
-                    T c = -gb * cpt_k * Dv[ku] * thfz[ku + 1] - hgb * Dv[ku];
-                    T r = dwold[ku] + dt * slow.rhow(i, j, k) -
-                          gk * (beta * (cpt_k * Cv[ku] - cpt_m * Cv[km]) +
-                                one_m_beta *
-                                    (dp_(i, j, k) - dp_(i, j, k - 1))) -
-                          dt * g *
-                              (beta * T(0.5) * (Rv[km] + Rv[ku]) +
-                               one_m_beta * T(0.5) *
-                                   (drho_(i, j, k - 1) + drho_(i, j, k)));
-                    // Boundary folds: W'_0 and W'_nz carry no flux, so the
-                    // couplings through cells 0 and nz-1 simply drop.
-                    if (k == 1) a = T(0);
-                    if (k == nz - 1) c = T(0);
-                    sub[km] = a;
-                    dia[km] = b;
-                    sup[km] = c;
-                    rhs[km] = r;
-                }
-                solve_tridiagonal<T>(
-                    std::span<const T>(sub.data(), n - 1),
-                    std::span<const T>(dia.data(), n - 1),
-                    std::span<const T>(sup.data(), n - 1),
-                    std::span<T>(rhs.data(), n - 1),
-                    std::span<T>(scratch.data(), n - 1));
-                for (Index k = 1; k < nz; ++k) {
-                    dw_(i, j, k) = rhs[static_cast<std::size_t>(k - 1)];
-                }
-                dw_(i, j, nz) = T(0);
-
-                // Stash the explicit parts for the separate update kernels
-                // below (the paper's Fig. 1 "Equation of continuity" /
-                // "Update potential temperature" / "Update pressure").
-                for (Index k = 0; k < nz; ++k) {
-                    const auto ku = static_cast<std::size_t>(k);
-                    cv3_(i, j, k) = Cv[ku];
-                    rv3_(i, j, k) = Rv[ku];
-                    dv3_(i, j, k) = Dv[ku];
-                }
-            }
-        }
-        });
-        }  // helmholtz_1d scope
-    }
-
-    /// Column-batched Helmholtz sweep: march `width` columns of one j-row
-    /// simultaneously over interleaved column-block workspaces (lane index
-    /// innermost and unit-stride, the CPU analogue of the paper's xzy
-    /// storage order, Sec. IV-A-1). Public with an explicit width so tests
-    /// can pin any W — including W=1 — against the scalar sweep.
-    void phase_vertical_implicit_batched(const Tendencies<T>& slow,
-                                         double dtau, Index width) {
         const Index nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
         const T rdx = T(1.0 / grid_.dx());
         const T rdy = T(1.0 / grid_.dy());
@@ -621,8 +441,9 @@ class AcousticStepper {
         const T hgb = T(0.5) * dt * g * beta;
 
         const auto n = static_cast<std::size_t>(nz);
-        const auto W = static_cast<std::size_t>(width);
+        const auto W = static_cast<std::size_t>(batch_w_);
 
+        {
         KernelScope scope("helmholtz_1d", {/*reads=*/12, /*writes=*/4, 12},
                           static_cast<std::uint64_t>(nx * ny * nz));
         parallel_for(ny, [&](Index jb, Index je) {
@@ -634,8 +455,8 @@ class AcousticStepper {
         std::vector<T> sub(n * W), dia(n * W), sup(n * W), rhs(n * W),
             scratch(n * W), betav(W);
         for (Index j = jb; j < je; ++j) {
-            for (Index ib = 0; ib < nx; ib += width) {
-                const Index iw = std::min(width, nx - ib);
+            for (Index ib = 0; ib < nx; ib += batch_w_) {
+                const Index iw = std::min(batch_w_, nx - ib);
                 const auto w = static_cast<std::size_t>(iw);
                 // Vertical deviation fluxes at interior faces (zero at the
                 // bottom/top faces), lane-interleaved.
@@ -775,15 +596,16 @@ class AcousticStepper {
             }
         }
         });
+        }  // helmholtz_1d scope
+        update_after_implicit();
     }
 
   private:
-    /// Final rho', theta', p' updates with the beta-averaged new W'
-    /// (shared by the scalar and batched sweeps). The fused
-    /// variant (paper Sec. V-A method 3 "logical fusion") performs all
-    /// three updates in one streaming pass so the shared dw/dv3 operands
-    /// are read once and the density update rides in the theta kernel's
-    /// window; per-cell arithmetic is unchanged, so both variants are
+    /// Final rho', theta', p' updates with the beta-averaged new W' from
+    /// the explicit parts the sweep stashed. The fused variant (paper
+    /// Sec. V-A method 3 "logical fusion") performs all three updates in
+    /// one streaming pass so the shared dw/dv3 operands are read once and
+    /// the density update rides in the theta kernel's window; per-cell arithmetic is unchanged, so both variants are
     /// bitwise identical (asserted by tests/test_multidomain.cpp: the
     /// decomposed runner fuses, the single-domain stepper does not).
     void update_after_implicit() {
@@ -865,7 +687,7 @@ class AcousticStepper {
     // Workspace.
     Array3<T> dp_half_, tend_u_, tend_v_;
     Array3<T> cv3_, rv3_, dv3_;  ///< explicit parts of the implicit update
-    Index batch_w_;  ///< resolved column-batch width (1 = scalar sweep)
+    Index batch_w_;  ///< resolved column-batch width (columns per sweep)
 };
 
 }  // namespace asuca

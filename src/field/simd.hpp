@@ -6,19 +6,17 @@
 // analogue batches W columns per Thomas sweep with the column index
 // innermost and unit-stride, so the compiler's auto-vectorizer turns the
 // per-level recurrences into SIMD lanes. This header centralizes the two
-// runtime decisions that path needs: the hardware's native lane count and
-// the batch width W actually used (config value, ASUCA_COLUMN_BATCH
-// environment override, or the default derived from the lane count).
+// decisions that path needs: the hardware's native lane count and the
+// batch width W actually used (the config value, or the default derived
+// from the lane count).
 //
 // No intrinsics are used anywhere: every batched kernel is written as a
 // plain inner loop over W contiguous lanes, which GCC/Clang vectorize at
 // -O2 without changing per-lane arithmetic (each lane executes exactly
-// the scalar op sequence, so results are bitwise identical to the
-// one-column-at-a-time code on targets without implicit FMA contraction;
+// the one-column op sequence, so every width, W=1 included, gives
+// bitwise-identical results on targets without implicit FMA contraction;
 // see the -DASUCA_NATIVE_ARCH note in DESIGN.md).
 #pragma once
-
-#include <cstdlib>
 
 #include "src/common/error.hpp"
 #include "src/common/types.hpp"
@@ -54,19 +52,12 @@ constexpr Index default_column_batch() {
 
 /// Resolve the column-batch width actually used by a solver configured
 /// with `config_value`:
-///   0   — auto: ASUCA_COLUMN_BATCH when set (>=1), else the default;
-///   1   — the scalar one-column-at-a-time sweep;
-///   W>1 — batched with exactly W columns per sweep.
+///   0   — auto: default_column_batch<T>();
+///   W>0 — exactly W columns per sweep (W=1: one column at a time).
 template <class T>
 inline Index resolve_column_batch(Index config_value) {
-    Index w = config_value;
-    if (w == 0) {
-        if (const char* env = std::getenv("ASUCA_COLUMN_BATCH")) {
-            const long v = std::atol(env);
-            if (v >= 1) w = static_cast<Index>(v);
-        }
-        if (w == 0) w = default_column_batch<T>();
-    }
+    const Index w =
+        config_value == 0 ? default_column_batch<T>() : config_value;
     ASUCA_REQUIRE(w >= 1, "column batch width must be >= 1, got " << w);
     return w;
 }
