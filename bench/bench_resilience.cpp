@@ -1,44 +1,41 @@
 // Cost of the resilience subsystem when nothing goes wrong.
 //
-// The fault-tolerance machinery must be paid for only when armed: this
-// bench measures the concurrent multi-domain executor's seconds per long
-// step across a per-feature ablation on the same case, so the remaining
-// overhead is attributable —
+// Recovery must be paid for only when armed: this bench measures the
+// concurrent multi-domain executor's seconds per long step across a
+// per-feature ablation on the same case, so the remaining overhead is
+// attributable —
 //
-//   off              — resilience disabled (futex waits, no integrity
-//                      words, no snapshots, plain step());
-//   deadline         — guarded channels with deadline polling only (the
-//                      cost of backoff waits replacing futex waits);
-//   integrity        — + a fused FNV-1a integrity word per halo message
-//                      (hash accumulated inside the pack/unpack copy
-//                      loops; payload bytes are touched once);
-//   watchdog_sampled — deadline + the strided health scan (every 4th
-//                      cell, rotating offset, exhaustive sweep every
-//                      16th step) with CFL and global-mass checks;
-//   watchdog_full    — deadline + the exhaustive per-step scan (the
+//   off              — resilience disabled: plain step(), no snapshots,
+//                      no watchdog. Its channels still carry the
+//                      detection every runner has: deadline-bounded
+//                      waits and a fused FNV-1a integrity word per halo
+//                      message (hash accumulated inside the pack/unpack
+//                      copy loops; payload bytes are touched once);
+//   watchdog_sampled — + the strided health scan (every 4th cell,
+//                      rotating offset, exhaustive sweep every 16th
+//                      step) with CFL and global-mass checks;
+//   watchdog_full    — + the exhaustive per-step scan (the
 //                      pre-sampling behavior, for attribution);
-//   snapshot         — deadline + a double-buffered rollback point after
-//                      every step: each rank copies its own new state
-//                      into the staging buffer at the end of its step
-//                      program, and the round is promoted when the step
-//                      commits;
-//   guarded          — the production protection config: integrity +
-//                      sampled watchdog + a rollback point every 16
-//                      steps;
+//   snapshot         — + a double-buffered rollback point after every
+//                      step: each rank copies its own new state into the
+//                      staging buffer at the end of its step program,
+//                      and the round is promoted when the step commits;
+//   guarded          — the production protection config: sampled
+//                      watchdog + a rollback point every 16 steps;
 //   recovering       — guarded with a rollback point after EVERY step
 //                      (checkpoint_interval = 1).
 //
 // All variants produce bitwise-identical states (tests/test_resilience
-// .cpp); the delta is pure detection/recovery overhead. Each variant
-// runs warmup steps before timing (cold allocation, first snapshot);
-// timed windows are interleaved round-robin across the variants and the
-// reported overhead is the median of per-rep ratios against the off run
-// of the same cycle (see the comments at the measurement loops).
+// .cpp); the delta is pure recovery overhead. Each variant runs warmup
+// steps before timing (cold allocation, first snapshot); timed windows
+// are interleaved round-robin across the variants and the reported
+// overhead is the median of per-rep ratios against the off run of the
+// same cycle (see the comments at the measurement loops).
 //
 // A second section measures snapshot BYTES (resilience.snapshot_bytes)
-// on a localized-update workload: incremental j-slab dirty tracking
-// must copy far fewer bytes per round than the full-copy fallback.
-// Results go to BENCH_resilience.json.
+// on a localized-update workload: j-slab dirty tracking must copy far
+// fewer bytes per round than the dynamic fields hold (what a full copy
+// would move). Results go to BENCH_resilience.json.
 #include <algorithm>
 #include <cstdio>
 #include <memory>
@@ -84,7 +81,6 @@ TimeStepperConfig make_stepper_cfg() {
 struct Variant {
     const char* name;
     bool enabled;
-    bool integrity;
     bool watchdog;            // finite + CFL + global mass drift
     Index watchdog_stride;    // 1 = exhaustive
     long long full_sweep;     // 0 = never
@@ -93,7 +89,6 @@ struct Variant {
 
 void apply(const Variant& v, MultiDomainConfig& md) {
     md.resilience.enabled = v.enabled;
-    md.resilience.halo_integrity = v.integrity;
     md.resilience.checkpoint_interval = v.checkpoint_interval;
     if (v.watchdog) {
         md.resilience.watchdog.cfl_limit = 10.0;
@@ -108,8 +103,8 @@ void apply(const Variant& v, MultiDomainConfig& md) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    title("Resilience overhead — fused integrity, sampled watchdog, "
-          "rank-staged snapshots");
+    title("Resilience overhead — sampled watchdog, rank-staged "
+          "snapshots");
 
     Int3 mesh{48, 24, 24};
     int steps = 6;   // timed steps per rep
@@ -139,15 +134,13 @@ int main(int argc, char** argv) {
 
     const long long never = 1ll << 40;
     const Variant variants[] = {
-        //                 name        en     integ  wd     stride sweep interval
-        {"off", false, false, false, 1, 0, never},
-        {"deadline", true, false, false, 1, 0, never},
-        {"integrity", true, true, false, 1, 0, never},
-        {"watchdog_sampled", true, false, true, 4, 16, never},
-        {"watchdog_full", true, false, true, 1, 0, never},
-        {"snapshot", true, false, false, 1, 0, 1},
-        {"guarded", true, true, true, 4, 16, 16},
-        {"recovering", true, true, true, 4, 16, 1},
+        //                 name        en     wd     stride sweep interval
+        {"off", false, false, 1, 0, never},
+        {"watchdog_sampled", true, true, 4, 16, never},
+        {"watchdog_full", true, true, 1, 0, never},
+        {"snapshot", true, false, 1, 0, 1},
+        {"guarded", true, true, 4, 16, 16},
+        {"recovering", true, true, 4, 16, 1},
     };
 
     // Rank workers carry the parallelism; keep the global pool out of
@@ -229,48 +222,47 @@ int main(int argc, char** argv) {
     }
     ThreadPool::set_global_threads(0);  // restore the default pool
 
-    // Snapshot BYTES ablation (what resilience.snapshot_bytes counts):
-    // incremental j-slab dirty tracking vs the full-copy fallback on a
-    // LOCALIZED update workload — per round only a thin band of rows
-    // changes (a data-assimilation nudge, a physics column update), the
-    // case incremental snapshots exist for. Full dynamics steps dirty
-    // nearly every slab and see no byte savings; this isolates the
-    // workload where the tracking pays.
+    // Snapshot BYTES (what resilience.snapshot_bytes counts): j-slab
+    // dirty tracking on a LOCALIZED update workload — per round only a
+    // thin band of rows changes (a data-assimilation nudge, a physics
+    // column update), the case the tracking exists for — against the
+    // bytes of the dynamic fields, which a capture into a fresh buffer
+    // (a full copy) moves. Full dynamics steps dirty nearly every slab
+    // and see no byte savings; this isolates the workload where the
+    // tracking pays.
     const int snap_rounds = 6;
-    double bytes_per_round[2] = {0.0, 0.0};
-    for (const bool incremental : {false, true}) {
-        State<double> work = initial;
-        const auto source = [&](Index) -> const State<double>& {
-            return work;
-        };
-        resilience::RollbackSnapshots<double> snap;
-        snap.configure(1, incremental);
-        snap.capture_sync(source, 0, 0.0);  // round 0: always a full copy
-        std::size_t total = 0;
-        for (int r = 0; r < snap_rounds; ++r) {
-            const Index j = 2 + static_cast<Index>(r) % 3;
-            for (Index k = 0; k < work.rhotheta.nz(); ++k) {
-                for (Index i = 0; i < work.rhotheta.nx(); ++i) {
-                    work.rhotheta(i, j, k) += 1.0e-8;
-                }
+    const double full_bytes_per_round = static_cast<double>(
+        resilience::RankFieldCopy<double>().capture_dynamic(initial));
+    State<double> work = initial;
+    const auto source = [&](Index) -> const State<double>& { return work; };
+    resilience::RollbackSnapshots<double> snap;
+    snap.configure(1);
+    snap.capture_sync(source, 0, 0.0);  // round 0: fresh, a full copy
+    std::size_t total = 0;
+    for (int r = 0; r < snap_rounds; ++r) {
+        const Index j = 2 + static_cast<Index>(r) % 3;
+        for (Index k = 0; k < work.rhotheta.nz(); ++k) {
+            for (Index i = 0; i < work.rhotheta.nx(); ++i) {
+                work.rhotheta(i, j, k) += 1.0e-8;
             }
-            snap.capture_sync(source, r + 1, 0.0);
-            total += snap.last_round_bytes();
         }
-        bytes_per_round[incremental ? 1 : 0] =
-            static_cast<double>(total) / snap_rounds;
+        snap.capture_sync(source, r + 1, 0.0);
+        total += snap.last_round_bytes();
     }
+    const double incremental_bytes_per_round =
+        static_cast<double>(total) / snap_rounds;
     std::printf("\n  localized-update snapshot bytes/round: full %.0f, "
                 "incremental %.0f (%.1fx less)\n",
-                bytes_per_round[0], bytes_per_round[1],
-                bytes_per_round[0] / std::max(1.0, bytes_per_round[1]));
+                full_bytes_per_round, incremental_bytes_per_round,
+                full_bytes_per_round /
+                    std::max(1.0, incremental_bytes_per_round));
 
-    note("integrity fuses the FNV-1a word into the halo pack/unpack copy");
-    note("loops; a snapshot is a double-buffered raw copy that each rank");
-    note("takes of its own state at the end of a due step, on its own");
-    note("worker and not overlapped with compute; the sampled watchdog");
-    note("scans every 4th cell (rotating offset) with an exhaustive sweep");
-    note("every 16 steps.");
+    note("every variant, off included, fuses the FNV-1a integrity word");
+    note("into the halo pack/unpack copy loops; a snapshot is a");
+    note("double-buffered raw copy that each rank takes of its own state");
+    note("at the end of a due step, on its own worker and not overlapped");
+    note("with compute; the sampled watchdog scans every 4th cell");
+    note("(rotating offset) with an exhaustive sweep every 16 steps.");
 
     io::JsonValue doc;
     doc.set("config", "mountain_wave_warm_rain");
@@ -297,10 +289,11 @@ int main(int argc, char** argv) {
     snap_row.set("metric", "resilience.snapshot_bytes");
     snap_row.set("workload", "localized_update");
     snap_row.set("rounds", snap_rounds);
-    snap_row.set("full_bytes_per_round", bytes_per_round[0]);
-    snap_row.set("incremental_bytes_per_round", bytes_per_round[1]);
+    snap_row.set("full_bytes_per_round", full_bytes_per_round);
+    snap_row.set("incremental_bytes_per_round", incremental_bytes_per_round);
     snap_row.set("reduction_factor",
-                 bytes_per_round[0] / std::max(1.0, bytes_per_round[1]));
+                 full_bytes_per_round /
+                     std::max(1.0, incremental_bytes_per_round));
     doc.set("snapshot_bytes", std::move(snap_row));
     return write_json("BENCH_resilience.json", doc) ? 0 : 1;
 }

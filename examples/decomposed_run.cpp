@@ -13,8 +13,10 @@
 // trace-event JSON of the run (load it at https://ui.perfetto.dev) with
 // per-rank step/halo spans; --metrics writes per-step counter snapshots.
 //
-// With --inject-fault the runner executes under the resilience policy
-// (guarded channels, watchdog, rollback-and-replay) and a single fault of
+// Every run's halo channels bound their waits by a deadline and checksum
+// every message. With --inject-fault the runner also executes under the
+// resilience policy (rollback snapshots, watchdog, rollback-and-replay),
+// --deadline-ms replaces the 5 s default deadline, and a single fault of
 // KIND is injected into rank 1 at step 1:
 //   nan    — corrupt one prognostic value (transient: recovered, bitwise)
 //   halo   — flip a bit of a posted halo strip (transient: recovered)

@@ -26,19 +26,17 @@
 // is bitwise identical to the single-domain run (validated in
 // tests/test_multidomain.cpp).
 //
-// Failure detection (the resilience subsystem): a channel can be
-// GUARDED, which changes the infinite futex waits into deadline-bounded
-// condition-variable waits (see the comment above guarded_wait),
-// attaches an integrity word to every message — sequence number plus
-// the 4-lane paired FNV checksum of hash::Fnv4/fnv1a_elems4,
-// accumulated inside the pack loop and verified inside the unpack loop
-// one cache-resident row slab at a time, so payload bytes are never
-// re-read cold for a separate checksum pass — and supports POISONING:
-// marking the channel dead so every current and future wait fails
-// immediately. A guarded wait that fails throws HaloFaultError carrying
-// the channel identity and a suspect rank, so the runner can attribute
-// the failure instead of hanging. Unguarded channels keep the original
-// futex path and zero extra cost.
+// Failure detection: every wait is a brief yield-spin followed by a
+// condition-variable wait bounded by the channel deadline (see the
+// comment above wait_until_ready), every message carries an integrity
+// word — sequence number plus the 4-lane paired FNV checksum of
+// hash::Fnv4/fnv1a_elems4, accumulated inside the pack loop and verified
+// inside the unpack loop one cache-resident row slab at a time, so
+// payload bytes are never re-read cold for a separate checksum pass —
+// and a channel can be POISONED: marked dead so every current and
+// future wait fails immediately. A wait that fails throws HaloFaultError
+// carrying the channel identity and a suspect rank, so the runner can
+// attribute the failure instead of hanging.
 #pragma once
 
 #include <atomic>
@@ -60,36 +58,11 @@
 
 namespace asuca::cluster {
 
-/// Bounded yield-spin on `ready`, then block on `counter` changing from
-/// `last` (std::atomic futex wait). With a core per rank the wait is
-/// satisfied within a few yields; when rank workers oversubscribe the
-/// machine the kernel wait donates the core to whichever neighbor still
-/// has compute to run, and the producer's notify wakes us the moment
-/// the slot state changes — no polling quantum to lose.
-template <class Pred>
-inline void backoff_wait(const std::atomic<std::uint64_t>& counter,
-                         std::uint64_t last, Pred ready) {
-    for (int spin = 0; !ready(); ++spin) {
-        if (spin < 64) {
-            std::this_thread::yield();
-        } else {
-            counter.wait(last, std::memory_order_acquire);
-            last = counter.load(std::memory_order_acquire);
-        }
-    }
-}
+/// Deadline of every halo wait unless the runner configures another.
+inline constexpr std::chrono::nanoseconds kDefaultHaloDeadline =
+    std::chrono::seconds(5);
 
-// Guarded (deadline) waits use a condition variable instead of sleep
-// polling: std::atomic::wait has no timed form, and sleep_for() is
-// subject to the kernel's timer slack (~50us) — per-message oversleeps
-// that both tax and jitter every guarded exchange. The producer takes
-// the channel's wait mutex (empty critical section) and notifies after
-// each counter release, so a cv waiter wakes the moment the slot state
-// changes — same latency profile as the unguarded futex path — while
-// wait_until() enforces the deadline and poison() can release a waiter
-// without the producer ever touching the counters.
-
-/// What a guarded channel operation detected.
+/// What a channel operation detected.
 enum class HaloFault {
     None,
     Timeout,   ///< deadline expired while waiting on the peer
@@ -117,7 +90,7 @@ inline const char* side_name(int side) {
     return "?";
 }
 
-/// Structured failure verdict from a guarded channel: which channel
+/// Structured failure verdict from a channel: which channel
 /// (owner rank + side), which message, what went wrong, and which rank
 /// is the likely culprit (the producer for receive-side faults, the
 /// consumer for post-side backpressure timeouts).
@@ -137,12 +110,6 @@ class HaloFaultError : public Error {
     std::uint64_t sequence;
 };
 
-/// Guard configuration shared by all channels of an exchanger.
-struct ChannelGuard {
-    std::chrono::nanoseconds deadline = std::chrono::seconds(5);
-    bool integrity = true;  ///< sequence + checksum verification
-};
-
 /// SPSC double-buffered message channel. The producer and consumer must
 /// each be a single thread (they may be the same thread, e.g. the
 /// periodic self-neighbor of a 1-wide decomposition). Message sizes may
@@ -154,33 +121,19 @@ class HaloChannel {
     static constexpr std::uint64_t kSlots = 2;
 
     /// Identify the channel (owner rank + producing peer + side) for
-    /// failure verdicts and trace-span attribution. The exchanger sets
-    /// this at construction, before any concurrent use.
-    void set_identity(Index owner, Index peer, int side) {
+    /// failure verdicts and trace-span attribution, and set its wait
+    /// deadline. The exchanger calls this at construction, before any
+    /// concurrent use.
+    void configure(std::chrono::nanoseconds deadline, Index owner,
+                   Index peer, int side) {
+        deadline_ = deadline;
         owner_rank_ = owner;
         peer_rank_ = peer;
         side_ = side;
     }
 
-    /// Switch to guarded (deadline + integrity) mode. Must be called
-    /// while no thread is using the channel; `owner`/`peer`/`side`
-    /// identify the channel in failure verdicts.
-    void enable_guard(const ChannelGuard& guard, Index owner, Index peer,
-                      int side) {
-        guard_ = guard;
-        set_identity(owner, peer, side);
-        guarded_ = true;
-    }
-
-    bool guarded() const { return guarded_; }
-
-    /// True when messages carry (and receives verify) an integrity word.
-    /// Packers use this to pick the hash-fused copy loop.
-    bool integrity_on() const { return guarded_ && guard_.integrity; }
-
-    /// Mark the channel dead: every guarded wait (current and future) on
-    /// it fails with HaloFault::Poisoned. Only meaningful in guarded
-    /// mode (unguarded waiters block on the futex and are not woken).
+    /// Mark the channel dead: every wait (current and future) on it
+    /// fails with HaloFault::Poisoned.
     void poison() {
         poisoned_.store(true, std::memory_order_release);
         notify_waiters();
@@ -190,108 +143,73 @@ class HaloChannel {
     }
 
     /// Producer: claim the slot buffer for the next message, blocking
-    /// (backoff wait) while both slots hold unconsumed messages. The
-    /// wait (backpressure: the consumer is behind) is a trace span
-    /// attributed to the PRODUCING rank's thread.
+    /// while both slots hold unconsumed messages. The wait
+    /// (backpressure: the consumer is behind) is a trace span attributed
+    /// to the PRODUCING rank's thread; a timeout names the consumer (the
+    /// owner of this channel), which stopped draining.
     std::vector<T>& begin_post(std::size_t size) {
         obs::TraceSpan span("halo_post_wait", peer_rank_, "halo");
-        auto have_slot = [&] {
-            return next_post_ -
-                       consumed_.load(std::memory_order_acquire) <
+        wait_until_ready(owner_rank_, next_post_, [&] {
+            return next_post_ - consumed_.load(std::memory_order_acquire) <
                    kSlots;
-        };
-        if (guarded_) {
-            const bool ok = guarded_wait([&] { return poisoned() || have_slot(); });
-            if (poisoned())
-                throw_fault(HaloFault::Poisoned, owner_rank_, next_post_);
-            if (!ok) {
-                // Backpressure timeout: the consumer (the owner of this
-                // channel) stopped draining.
-                throw_fault(HaloFault::Timeout, owner_rank_, next_post_);
-            }
-        } else {
-            backoff_wait(consumed_,
-                         consumed_.load(std::memory_order_acquire),
-                         have_slot);
-        }
+        });
         auto& slot = slots_[next_post_ % kSlots];
         slot.resize(size);
         return slot;
     }
 
-    /// Producer: publish the message packed into the begin_post() buffer.
-    /// In guarded mode the integrity word is computed first; passing
-    /// `corrupt_in_flight` flips one payload bit AFTER the checksum —
-    /// the fault injector's model of in-transit corruption, guaranteed
-    /// to be detected by the consumer's verification.
+    /// Producer: publish the message packed into the begin_post() buffer,
+    /// computing its integrity word first; passing `corrupt_in_flight`
+    /// flips one payload bit AFTER the checksum — the fault injector's
+    /// model of in-transit corruption, guaranteed to be detected by the
+    /// consumer's verification.
     void finish_post(bool corrupt_in_flight = false) {
-        if (integrity_on()) {
-            const auto& slot = slots_[next_post_ % kSlots];
-            publish(hash::fnv1a_elems4(slot.data(), slot.size()),
-                    corrupt_in_flight);
-        } else {
-            publish(0, corrupt_in_flight);
-        }
+        const auto& slot = slots_[next_post_ % kSlots];
+        publish(hash::fnv1a_elems4(slot.data(), slot.size()),
+                corrupt_in_flight);
     }
 
     /// Producer: publish with a checksum the packer accumulated while
-    /// filling the buffer (the fused-integrity fast path — payload bytes
-    /// are touched exactly once). `sum` must equal fnv1a_elems4 over the
-    /// final buffer contents; only meaningful when integrity_on().
+    /// filling the buffer (the fused-integrity path — payload bytes are
+    /// touched exactly once). `sum` must equal fnv1a_elems4 over the
+    /// final buffer contents.
     void finish_post_hashed(std::uint64_t sum,
                             bool corrupt_in_flight = false) {
         publish(sum, corrupt_in_flight);
     }
 
-    /// Consumer: wait (backoff) for the next message and return it. A
-    /// guarded channel verifies the integrity word and fails the wait at
-    /// the deadline instead of blocking forever. The wait is a trace
-    /// span attributed to the CONSUMING (owner) rank's thread — on a
-    /// timeline, halo_wait time is exactly the communication the
-    /// overlap modes are supposed to hide (paper Sec. V-A).
+    /// Consumer: wait for the next message, verify its integrity word
+    /// and return it. The wait fails at the deadline instead of blocking
+    /// forever, and is a trace span attributed to the CONSUMING (owner)
+    /// rank's thread — on a timeline, halo_wait time is exactly the
+    /// communication the overlap modes are supposed to hide (paper
+    /// Sec. V-A).
     const std::vector<T>& begin_receive() {
         const auto& slot = begin_receive_deferred();
-        if (integrity_on()) {
-            verify_receive(hash::fnv1a_elems4(slot.data(), slot.size()));
-        }
+        verify_receive(hash::fnv1a_elems4(slot.data(), slot.size()));
         return slot;
     }
 
     /// Consumer: like begin_receive() but DEFERS the checksum check —
     /// the unpacker accumulates the hash while copying the payload out
     /// and then calls verify_receive(). The sequence number is still
-    /// verified here (it is metadata, not payload).
+    /// verified here (it is metadata, not payload). A timeout names the
+    /// producer (peer), which missed its deadline.
     const std::vector<T>& begin_receive_deferred() {
         obs::TraceSpan span("halo_wait", owner_rank_, "halo");
-        auto have_msg = [&] {
+        wait_until_ready(peer_rank_, next_receive_, [&] {
             return posted_.load(std::memory_order_acquire) > next_receive_;
-        };
-        if (guarded_) {
-            const bool ok = guarded_wait([&] { return poisoned() || have_msg(); });
-            if (poisoned())
-                throw_fault(HaloFault::Poisoned, peer_rank_, next_receive_);
-            if (!ok) {
-                // The producer (peer) missed its deadline.
-                throw_fault(HaloFault::Timeout, peer_rank_, next_receive_);
-            }
-            const auto& slot = slots_[next_receive_ % kSlots];
-            if (guard_.integrity &&
-                meta_seq_[next_receive_ % kSlots] != next_receive_) {
-                throw_fault(HaloFault::Corrupt, peer_rank_, next_receive_);
-            }
-            return slot;
+        });
+        if (meta_seq_[next_receive_ % kSlots] != next_receive_) {
+            throw_fault(HaloFault::Corrupt, peer_rank_, next_receive_);
         }
-        backoff_wait(posted_, posted_.load(std::memory_order_acquire),
-                     have_msg);
         return slots_[next_receive_ % kSlots];
     }
 
     /// Consumer: compare the unpacker-accumulated checksum against the
     /// message's integrity word. Must be called between
-    /// begin_receive_deferred() and finish_receive(). No-op when the
-    /// channel carries no integrity word.
+    /// begin_receive_deferred() and finish_receive().
     void verify_receive(std::uint64_t sum) {
-        if (!integrity_on()) return;
         if (obs::metrics_enabled()) {
             static auto& words = obs::MetricsRegistry::global().counter(
                 "resilience.integrity_words");
@@ -306,8 +224,7 @@ class HaloChannel {
     void finish_receive() {
         ++next_receive_;
         consumed_.store(next_receive_, std::memory_order_release);
-        consumed_.notify_one();
-        if (guarded_) notify_waiters();
+        notify_waiters();
     }
 
     /// Messages posted and not yet consumed (test/diagnostic use; exact
@@ -318,19 +235,31 @@ class HaloChannel {
     }
 
   private:
-    /// Guarded-mode wait: brief yield-spin for the common already-posted
-    /// case, then a cv wait with the channel deadline. Counter updates
-    /// happen-before the producer's empty wait_mu_ critical section, so
-    /// a waiter that saw a stale predicate under the lock is guaranteed
-    /// a notify after it sleeps — no lost wakeups, no polling quantum.
+    /// Wait until `ready()` holds: a brief yield-spin for the common
+    /// already-posted case, then a condition-variable wait bounded by
+    /// the channel deadline. A cv rather than sleep polling, because
+    /// sleep_for() is subject to the kernel's timer slack (~50us) —
+    /// per-message oversleeps that both tax and jitter every exchange.
+    /// Each side takes wait_mu_ (empty critical section) and notifies
+    /// after its counter release, so a waiter that saw a stale
+    /// predicate under the lock is guaranteed a notify after it sleeps —
+    /// no lost wakeups, no polling quantum — and poison() releases a
+    /// waiter without touching the counters. Poison, then a missed
+    /// deadline, throw with `suspect` and message number `seq`.
     template <class Pred>
-    bool guarded_wait(Pred ready) {
-        for (int spin = 0; spin < 64; ++spin) {
-            if (ready()) return true;
+    void wait_until_ready(Index suspect, std::uint64_t seq, Pred ready) {
+        const auto done = [&] { return poisoned() || ready(); };
+        bool ok = done();
+        for (int spin = 0; !ok && spin < 64; ++spin) {
             std::this_thread::yield();
+            ok = done();
         }
-        std::unique_lock<std::mutex> lock(wait_mu_);
-        return wait_cv_.wait_for(lock, guard_.deadline, ready);
+        if (!ok) {
+            std::unique_lock<std::mutex> lock(wait_mu_);
+            ok = wait_cv_.wait_for(lock, deadline_, done);
+        }
+        if (poisoned()) throw_fault(HaloFault::Poisoned, suspect, seq);
+        if (!ok) throw_fault(HaloFault::Timeout, suspect, seq);
     }
 
     void notify_waiters() {
@@ -342,10 +271,8 @@ class HaloChannel {
     /// integrity word, apply armed corruption, bump metrics, release.
     void publish(std::uint64_t sum, bool corrupt_in_flight) {
         auto& slot = slots_[next_post_ % kSlots];
-        if (integrity_on()) {
-            meta_seq_[next_post_ % kSlots] = next_post_;
-            meta_sum_[next_post_ % kSlots] = sum;
-        }
+        meta_seq_[next_post_ % kSlots] = next_post_;
+        meta_sum_[next_post_ % kSlots] = sum;
         if (corrupt_in_flight && !slot.empty()) {
             flip_low_bit(slot[slot.size() / 2]);
         }
@@ -359,8 +286,7 @@ class HaloChannel {
         }
         ++next_post_;
         posted_.store(next_post_, std::memory_order_release);
-        posted_.notify_one();
-        if (guarded_) notify_waiters();
+        notify_waiters();
     }
 
     static void flip_low_bit(T& v) {
@@ -394,10 +320,9 @@ class HaloChannel {
     std::atomic<bool> poisoned_{false};
     std::uint64_t next_post_ = 0;     ///< producer-local sequence
     std::uint64_t next_receive_ = 0;  ///< consumer-local sequence
-    bool guarded_ = false;
-    ChannelGuard guard_;
-    std::mutex wait_mu_;               ///< guarded waits only
-    std::condition_variable wait_cv_;  ///< guarded waits only
+    std::chrono::nanoseconds deadline_ = kDefaultHaloDeadline;
+    std::mutex wait_mu_;
+    std::condition_variable wait_cv_;
     Index owner_rank_ = -1;
     Index peer_rank_ = -1;
     int side_ = -1;
@@ -414,35 +339,22 @@ class HaloExchanger {
   public:
     enum Side : int { West = 0, East = 1, South = 2, North = 3 };
 
-    HaloExchanger(Index px, Index py, Index nxl, Index nyl)
+    /// `deadline` bounds every wait on every channel.
+    HaloExchanger(Index px, Index py, Index nxl, Index nyl,
+                  std::chrono::nanoseconds deadline = kDefaultHaloDeadline)
         : px_(px), py_(py), nxl_(nxl), nyl_(nyl),
-          channels_(static_cast<std::size_t>(px * py) * 4) {
-        // Identity is set eagerly (not only under a guard) so trace
-        // spans can attribute every wait to its rank and side.
+          channels_(static_cast<std::size_t>(px * py) * 4),
+          arms_(static_cast<std::size_t>(px * py)) {
         for (Index r = 0; r < px_ * py_; ++r) {
             for (int s = 0; s < 4; ++s) {
                 channel(r, static_cast<Side>(s))
-                    .set_identity(r, producer_of(r, static_cast<Side>(s)),
-                                  s);
+                    .configure(deadline, r,
+                               producer_of(r, static_cast<Side>(s)), s);
             }
         }
     }
 
-    /// Put every channel into guarded mode (deadlines + integrity) and
-    /// allocate the per-rank fault-arming slots. Call before any
-    /// concurrent use.
-    void enable_guard(const ChannelGuard& guard) {
-        for (Index r = 0; r < px_ * py_; ++r) {
-            for (int s = 0; s < 4; ++s) {
-                channel(r, static_cast<Side>(s))
-                    .enable_guard(guard, r,
-                                  producer_of(r, static_cast<Side>(s)), s);
-            }
-        }
-        arms_.assign(static_cast<std::size_t>(px_ * py_), ArmState{});
-    }
-
-    /// Poison every channel: all guarded waits across all ranks fail
+    /// Poison every channel: all waits across all ranks fail
     /// immediately, so no rank can hang on a dead peer. Idempotent and
     /// callable from any thread.
     void poison_all() {
@@ -540,7 +452,6 @@ class HaloExchanger {
     };
 
     bool take_corrupt(Index r) {
-        if (arms_.empty()) return false;
         auto& arm = arms_[static_cast<std::size_t>(r)];
         const bool c = arm.corrupt;
         arm.corrupt = false;
@@ -548,7 +459,6 @@ class HaloExchanger {
     }
 
     void take_delay(Index r) {
-        if (arms_.empty()) return;
         auto& arm = arms_[static_cast<std::size_t>(r)];
         if (arm.delay.count() > 0) {
             const auto d = arm.delay;
@@ -558,33 +468,26 @@ class HaloExchanger {
     }
 
     /// Columns [i0, i1) of `a`, all interior rows, full padded k range.
-    /// With integrity on, the FNV word is accumulated IN the pack loop,
-    /// one row slab at a time: the slab is copied (vectorizable, no
-    /// hash chain in the loop) and then folded from the staging buffer
-    /// while it is still store-buffer/L1 resident, so the payload is
-    /// never re-read from cold memory for a separate checksum pass.
+    /// The FNV integrity word is accumulated IN the pack loop, one row
+    /// slab at a time: the slab is copied (vectorizable, no hash chain
+    /// in the loop) and then folded from the staging buffer while it is
+    /// still store-buffer/L1 resident, so the payload is never re-read
+    /// from cold memory for a separate checksum pass.
     void pack_cols(HaloChannel<T>& ch, const Array3<T>& a, Index i0,
                    Index i1, bool corrupt) {
         const Index h = a.halo();
         const Index ny = a.ny(), nz = a.nz();
         auto& buf = ch.begin_post(static_cast<std::size_t>(
             (i1 - i0) * ny * (nz + 2 * h)));
+        hash::Fnv4 hh;
         std::size_t n = 0;
-        if (ch.integrity_on()) {
-            hash::Fnv4 hh;
-            for (Index j = 0; j < ny; ++j) {
-                const std::size_t n0 = n;
-                for (Index k = -h; k < nz + h; ++k)
-                    for (Index i = i0; i < i1; ++i) buf[n++] = a(i, j, k);
-                hh.add_run(buf.data() + n0, n - n0);
-            }
-            ch.finish_post_hashed(hh.digest(), corrupt);
-        } else {
-            for (Index j = 0; j < ny; ++j)
-                for (Index k = -h; k < nz + h; ++k)
-                    for (Index i = i0; i < i1; ++i) buf[n++] = a(i, j, k);
-            ch.finish_post(corrupt);
+        for (Index j = 0; j < ny; ++j) {
+            const std::size_t n0 = n;
+            for (Index k = -h; k < nz + h; ++k)
+                for (Index i = i0; i < i1; ++i) buf[n++] = a(i, j, k);
+            hh.add_run(buf.data() + n0, n - n0);
         }
+        ch.finish_post_hashed(hh.digest(), corrupt);
     }
 
     /// Unpack into columns [i0, i1) (halo side), same traversal order.
@@ -598,21 +501,15 @@ class HaloExchanger {
         ASUCA_ASSERT(buf.size() == static_cast<std::size_t>(
                                        (i1 - i0) * ny * (nz + 2 * h)),
                      "halo channel x-strip size mismatch");
+        hash::Fnv4 hh;
         std::size_t n = 0;
-        if (ch.integrity_on()) {
-            hash::Fnv4 hh;
-            for (Index j = 0; j < ny; ++j) {
-                const std::size_t n0 = n;
-                for (Index k = -h; k < nz + h; ++k)
-                    for (Index i = i0; i < i1; ++i) a(i, j, k) = buf[n++];
-                hh.add_run(buf.data() + n0, n - n0);
-            }
-            ch.verify_receive(hh.digest());
-        } else {
-            for (Index j = 0; j < ny; ++j)
-                for (Index k = -h; k < nz + h; ++k)
-                    for (Index i = i0; i < i1; ++i) a(i, j, k) = buf[n++];
+        for (Index j = 0; j < ny; ++j) {
+            const std::size_t n0 = n;
+            for (Index k = -h; k < nz + h; ++k)
+                for (Index i = i0; i < i1; ++i) a(i, j, k) = buf[n++];
+            hh.add_run(buf.data() + n0, n - n0);
         }
+        ch.verify_receive(hh.digest());
         ch.finish_receive();
     }
 
@@ -623,24 +520,15 @@ class HaloExchanger {
         const Index nx = a.nx(), nz = a.nz();
         auto& buf = ch.begin_post(static_cast<std::size_t>(
             (j1 - j0) * (nx + 2 * h) * (nz + 2 * h)));
+        hash::Fnv4 hh;
         std::size_t n = 0;
-        if (ch.integrity_on()) {
-            hash::Fnv4 hh;
-            for (Index j = j0; j < j1; ++j) {
-                const std::size_t n0 = n;
-                for (Index k = -h; k < nz + h; ++k)
-                    for (Index i = -h; i < nx + h; ++i)
-                        buf[n++] = a(i, j, k);
-                hh.add_run(buf.data() + n0, n - n0);
-            }
-            ch.finish_post_hashed(hh.digest(), corrupt);
-        } else {
-            for (Index j = j0; j < j1; ++j)
-                for (Index k = -h; k < nz + h; ++k)
-                    for (Index i = -h; i < nx + h; ++i)
-                        buf[n++] = a(i, j, k);
-            ch.finish_post(corrupt);
+        for (Index j = j0; j < j1; ++j) {
+            const std::size_t n0 = n;
+            for (Index k = -h; k < nz + h; ++k)
+                for (Index i = -h; i < nx + h; ++i) buf[n++] = a(i, j, k);
+            hh.add_run(buf.data() + n0, n - n0);
         }
+        ch.finish_post_hashed(hh.digest(), corrupt);
     }
 
     void unpack_rows(HaloChannel<T>& ch, Array3<T>& a, Index j0, Index j1) {
@@ -650,29 +538,21 @@ class HaloExchanger {
         ASUCA_ASSERT(buf.size() == static_cast<std::size_t>(
                                        (j1 - j0) * (nx + 2 * h) * (nz + 2 * h)),
                      "halo channel y-strip size mismatch");
+        hash::Fnv4 hh;
         std::size_t n = 0;
-        if (ch.integrity_on()) {
-            hash::Fnv4 hh;
-            for (Index j = j0; j < j1; ++j) {
-                const std::size_t n0 = n;
-                for (Index k = -h; k < nz + h; ++k)
-                    for (Index i = -h; i < nx + h; ++i)
-                        a(i, j, k) = buf[n++];
-                hh.add_run(buf.data() + n0, n - n0);
-            }
-            ch.verify_receive(hh.digest());
-        } else {
-            for (Index j = j0; j < j1; ++j)
-                for (Index k = -h; k < nz + h; ++k)
-                    for (Index i = -h; i < nx + h; ++i)
-                        a(i, j, k) = buf[n++];
+        for (Index j = j0; j < j1; ++j) {
+            const std::size_t n0 = n;
+            for (Index k = -h; k < nz + h; ++k)
+                for (Index i = -h; i < nx + h; ++i) a(i, j, k) = buf[n++];
+            hh.add_run(buf.data() + n0, n - n0);
         }
+        ch.verify_receive(hh.digest());
         ch.finish_receive();
     }
 
     Index px_, py_, nxl_, nyl_;
     std::vector<HaloChannel<T>> channels_;
-    std::vector<ArmState> arms_;  ///< per-rank injection arming (guarded)
+    std::vector<ArmState> arms_;  ///< per-rank injection arming
 };
 
 }  // namespace asuca::cluster

@@ -83,26 +83,24 @@ class FatalFaultError : public Error {
     bool retries_exhausted;
 };
 
-/// Fault detection + recovery policy of the runner (the resilience
-/// subsystem). Disabled by default: infinite futex waits, no integrity
-/// words, no snapshots — bitwise identical to the guarded run at zero
-/// extra cost.
+/// Fault policy of the runner (the resilience subsystem). Detection is
+/// always on: halo waits are bounded by `halo_deadline`, every halo
+/// message is checksummed, and a rank that throws poisons every channel
+/// so its peers unwind. `enabled` adds recovery — rollback snapshots,
+/// the watchdog, rollback-and-replay and fault plans. Off by default
+/// (recovery costs two extra state copies per rank); on or off, the
+/// answer is bitwise the same.
 struct ResilienceConfig {
     bool enabled = false;
     /// Long steps between in-memory rank snapshots (rollback points).
     long long checkpoint_interval = 1;
-    /// j-slab dirty tracking in the rollback snapshots (copy only rows
-    /// touched since the buffer last held them). The full-copy fallback
-    /// is kept tested by the resilience suites and the ablation bench.
-    bool incremental_snapshots = true;
     /// Consecutive rollbacks tolerated before a fault is declared
     /// persistent (fatal).
     int max_retries = 3;
-    /// Guarded-channel deadline: a peer that neither posts nor drains
-    /// within it fails the run with a rank-attributed error.
-    std::chrono::nanoseconds halo_deadline = std::chrono::seconds(5);
-    /// Sequence + checksum verification of every halo message.
-    bool halo_integrity = true;
+    /// Deadline of every halo wait, recovery on or off: a peer that
+    /// neither posts nor drains within it fails the run with a
+    /// rank-attributed error.
+    std::chrono::nanoseconds halo_deadline = kDefaultHaloDeadline;
     resilience::WatchdogConfig watchdog;
     /// Injected faults (tests / benchmarks); empty in production.
     resilience::FaultPlan faults;
@@ -153,15 +151,15 @@ class MultiDomainRunner {
         }
         tasks_ = std::make_unique<TaskLayer>(
             static_cast<std::size_t>(rank_count()));
-        exchanger_ = std::make_unique<HaloExchanger<T>>(px_, py_, nxl_, nyl_);
+        rebuild_exchanger();
         pools_.reserve(static_cast<std::size_t>(rank_count()));
         for (Index r = 0; r < rank_count(); ++r) {
             pools_.push_back(std::make_unique<ThreadPool>(
                 std::max<std::size_t>(1, mdcfg_.threads_per_rank)));
         }
-        // ASUCA_FORCE_GUARDED=1 flips guarding on for runners that did
+        // ASUCA_FORCE_GUARDED=1 flips recovery on for runners that did
         // not opt in — the CI lever that runs the whole tier-1 matrix
-        // with the always-on protection path exercised. A runner that
+        // with rollback snapshots and the watchdog exercised. A runner that
         // carries a fault plan while disabled still rejects it below
         // (that combination is a caller bug, not a mode choice).
         if (!mdcfg_.resilience.enabled && mdcfg_.resilience.faults.empty() &&
@@ -177,9 +175,7 @@ class MultiDomainRunner {
                           "bad resilience config");
             injector_ = resilience::FaultInjector(rc.faults);
             watchdog_ = resilience::Watchdog<T>(rc.watchdog);
-            exchanger_->enable_guard(
-                ChannelGuard{rc.halo_deadline, rc.halo_integrity});
-            snap_.configure(rank_count(), rc.incremental_snapshots);
+            snap_.configure(rank_count());
         }
     }
 
@@ -652,8 +648,8 @@ class MultiDomainRunner {
     /// Roll every rank back to the snapshot and reset the exchange
     /// machinery: a fault unwinds rank programs mid-flight, leaving
     /// channels poisoned with undrained messages and mismatched sequence
-    /// counters, so the exchanger is rebuilt from scratch (fresh counters,
-    /// guard re-enabled). The replay recomputes the step from a
+    /// counters, so the exchanger is rebuilt from scratch (fresh
+    /// counters). The replay recomputes the step from a
     /// byte-identical state with the injected fault already consumed, so
     /// a recovered run is bitwise identical to a fault-free one.
     void rollback(const std::string& why) {
@@ -675,11 +671,8 @@ class MultiDomainRunner {
     }
 
     void rebuild_exchanger() {
-        exchanger_ =
-            std::make_unique<HaloExchanger<T>>(px_, py_, nxl_, nyl_);
-        exchanger_->enable_guard(
-            ChannelGuard{mdcfg_.resilience.halo_deadline,
-                         mdcfg_.resilience.halo_integrity});
+        exchanger_ = std::make_unique<HaloExchanger<T>>(
+            px_, py_, nxl_, nyl_, mdcfg_.resilience.halo_deadline);
     }
 
     struct FailureVerdict {

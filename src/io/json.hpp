@@ -3,7 +3,9 @@
 // files). Supports the full JSON value model but is tuned for our use:
 // numbers round-trip doubles exactly ("%.17g"), object member order is
 // preserved so regenerated baselines diff cleanly, and parse errors carry
-// line/column context. No external dependency.
+// line/column context. Nesting is bounded (kMaxJsonDepth): the parser
+// recurses once per '[' or '{', and the forecast server parses every
+// client line with it. No external dependency.
 #pragma once
 
 #include <cmath>
@@ -223,6 +225,11 @@ class JsonValue {
         v_;
 };
 
+/// Deepest '['/'{' nesting json_parse accepts; deeper input throws
+/// asuca::Error instead of exhausting the stack. Every document the
+/// project writes nests at most 4 deep.
+inline constexpr int kMaxJsonDepth = 64;
+
 namespace detail {
 
 class JsonParser {
@@ -288,8 +295,18 @@ class JsonParser {
     JsonValue value() {
         const char c = peek();
         switch (c) {
-            case '{': return object();
-            case '[': return array();
+            case '{':
+            case '[': {
+                // A failed parse is abandoned whole, so the level needs
+                // no unwinding on a throw.
+                ASUCA_REQUIRE(++depth_ <= kMaxJsonDepth,
+                              "JSON nesting deeper than " << kMaxJsonDepth
+                                                          << " at "
+                                                          << location());
+                JsonValue v = c == '{' ? object() : array();
+                --depth_;
+                return v;
+            }
             case '"': return JsonValue(string());
             case 't':
                 ASUCA_REQUIRE(consume_keyword("true"),
@@ -421,6 +438,7 @@ class JsonParser {
 
     const std::string& text_;
     std::size_t pos_ = 0;
+    int depth_ = 0;
 };
 
 }  // namespace detail

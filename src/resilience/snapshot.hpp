@@ -19,11 +19,10 @@
 //     rhotheta_ref, cs2) are copied ONCE per configuration and only
 //     restored thereafter — per-field dirty tracking degenerates to
 //     "dynamic fields every round, static fields never again". On top
-//     of that, configure(..., incremental=true) turns on j-slab dirty
-//     tracking inside each dynamic-field copy: a capture memcmp's each
+//     of that, every copy tracks dirty j-slabs: a capture memcmp's each
 //     contiguous j row against the destination buffer and copies only
 //     the rows that changed since that buffer last held them (see
-//     RankFieldCopy). Full copies remain the tested fallback.
+//     RankFieldCopy); a capture into a fresh buffer is a full copy.
 //
 // The restored bytes are the full padded arrays, so halos revive
 // exactly. Validated against gather()-visible state and replay bitwise
@@ -73,7 +72,7 @@ void for_each_static_field(StateT& s, F&& f) {
 /// Raw copies of one rank's dynamic fields. Buffers are sized on first
 /// capture and reused; the steady state allocates nothing.
 ///
-/// Incremental mode tracks dirty regions at j-slab granularity: j is the
+/// Captures track dirty regions at j-slab granularity: j is the
 /// OUTERMOST axis in both storage layouts (layout.hpp — sy is the
 /// largest stride in ZXY and XZY alike), so one j-slab is one contiguous
 /// chunk of size()/padded_y elements in the flat buffer. A capture
@@ -88,8 +87,6 @@ void for_each_static_field(StateT& s, F&& f) {
 template <class T>
 class RankFieldCopy {
   public:
-    void set_incremental(bool on) { incremental_ = on; }
-
     /// Returns the number of bytes copied.
     std::size_t capture_dynamic(const State<T>& s) {
         std::size_t idx = 0, bytes = 0;
@@ -127,7 +124,7 @@ class RankFieldCopy {
         auto& buf = bufs_[idx];
         const bool fresh = buf.size() != a.size();
         buf.resize(a.size());
-        if (!incremental_ || fresh) {
+        if (fresh) {
             std::memcpy(buf.data(), a.data(), a.size() * sizeof(T));
             return a.size() * sizeof(T);
         }
@@ -157,7 +154,6 @@ class RankFieldCopy {
     }
 
     std::vector<std::vector<T>> bufs_;
-    bool incremental_ = false;
 };
 
 /// Double-buffered rollback snapshots of a set of ranks. Thread roles:
@@ -170,15 +166,11 @@ class RollbackSnapshots {
   public:
     using Source = std::function<const State<T>&(Index)>;
 
-    /// `incremental` turns on j-slab dirty tracking in the per-rank
-    /// copies (see RankFieldCopy); off means the tested fallback of full
-    /// copies every round.
-    void configure(Index ranks, bool incremental = false) {
+    void configure(Index ranks) {
         ASUCA_REQUIRE(ranks >= 1, "snapshots need at least one rank");
         nranks_ = ranks;
         for (auto& side : bufs_) {
             side.assign(static_cast<std::size_t>(ranks), RankFieldCopy<T>{});
-            for (auto& copy : side) copy.set_incremental(incremental);
         }
         statics_.assign(static_cast<std::size_t>(ranks), RankFieldCopy<T>{});
         staged_bytes_.assign(static_cast<std::size_t>(ranks), kNotStaged);
@@ -191,8 +183,7 @@ class RollbackSnapshots {
     long long step() const { return committed_step_; }
     double mass() const { return committed_mass_; }
     /// Bytes actually copied by the most recently committed round (a
-    /// localized-update round copies only its dirty j-slabs when
-    /// incremental tracking is on).
+    /// localized-update round copies only its dirty j-slabs).
     std::size_t last_round_bytes() const { return last_round_bytes_; }
 
     /// Drop every snapshot (and the statics) — the rank states are about

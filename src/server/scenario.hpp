@@ -237,16 +237,6 @@ inline const char* error_code_name(ErrorCode c) {
     return "internal_fault";
 }
 
-inline ErrorCode error_code_from_name(const std::string& name) {
-    for (const ErrorCode c :
-         {ErrorCode::none, ErrorCode::bad_request, ErrorCode::over_capacity,
-          ErrorCode::deadline_exceeded, ErrorCode::internal_fault,
-          ErrorCode::degraded}) {
-        if (name == error_code_name(c)) return c;
-    }
-    ASUCA_REQUIRE(false, "unknown error code '" << name << "'");
-}
-
 /// A client-caused failure (unknown warm start, nonsense spec): the
 /// request is the problem, not the server — the wire layer answers
 /// `bad_request` and the retry ladder must not engage.

@@ -141,9 +141,10 @@ inline double get_finite(const io::JsonValue& v, const std::string& key) {
 inline long long get_int(const io::JsonValue& v, const std::string& key,
                          long long lo, long long hi) {
     const double d = get_finite(v, key);
-    // Integral and small enough that the double carried it exactly.
-    if (d != static_cast<double>(static_cast<long long>(d)) ||
-        d > 9.007199254740992e15 || d < -9.007199254740992e15) {
+    // Small enough that the double carried it exactly, and integral
+    // (range first: converting an out-of-range double is undefined).
+    if (d > 9.007199254740992e15 || d < -9.007199254740992e15 ||
+        d != static_cast<double>(static_cast<long long>(d))) {
         reject("field \"" + key + "\" must be an integer");
     }
     const long long n = static_cast<long long>(d);
@@ -174,6 +175,19 @@ inline std::uint64_t get_u64(const io::JsonValue& v,
         reject("field \"" + key + "\" does not fit in uint64");
     }
     return static_cast<std::uint64_t>(u);
+}
+
+/// An error code by its wire name (error_code_name's inverse).
+inline ErrorCode get_error_code(const io::JsonValue& v,
+                                const std::string& key) {
+    const std::string name = get_string(v, key);
+    for (const ErrorCode c :
+         {ErrorCode::none, ErrorCode::bad_request, ErrorCode::over_capacity,
+          ErrorCode::deadline_exceeded, ErrorCode::internal_fault,
+          ErrorCode::degraded}) {
+        if (name == error_code_name(c)) return c;
+    }
+    reject("field \"" + key + "\" is not an error code: \"" + name + "\"");
 }
 
 inline std::string u64_to_string(std::uint64_t u) {
@@ -398,9 +412,15 @@ inline ForecastResponseV1 response_from_json(const io::JsonValue& j) {
             r.ok = detail::get_bool(v, key);
         } else if (key == "error") {
             if (!v.is_object()) detail::reject("\"error\" must be an object");
-            r.error.code = error_code_from_name(
-                detail::get_string(detail::member(v, "code"), "error.code"));
-            r.error.detail = detail::member(v, "detail").as_string();
+            r.error.code =
+                detail::get_error_code(detail::member(v, "code"), "error.code");
+            // Not capped at kMaxWireString: server failure details
+            // (fatal-fault and watchdog reports) run longer.
+            const io::JsonValue& d = detail::member(v, "detail");
+            if (!d.is_string()) {
+                detail::reject("field \"error.detail\" must be a string");
+            }
+            r.error.detail = d.as_string();
         } else if (key == "executed") {
             r.executed = spec_from_json(v);
         } else if (key == "degrade_level") {

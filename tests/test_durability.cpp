@@ -505,7 +505,6 @@ TEST(DurableSnapshot, IncrementalCaptureCopiesOnlyDirtySlabs) {
     State<double> s = model.state();
 
     resilience::RankFieldCopy<double> copy;
-    copy.set_incremental(true);
     const std::size_t full = copy.capture_dynamic(s);
     EXPECT_GT(full, 0u);
     EXPECT_EQ(copy.capture_dynamic(s), 0u);  // unchanged: nothing copied
@@ -525,21 +524,6 @@ TEST(DurableSnapshot, IncrementalCaptureCopiesOnlyDirtySlabs) {
     expect_bitwise(dst, s);
 }
 
-TEST(DurableSnapshot, FullCopyFallbackCopiesEverythingEveryRound) {
-    const ScenarioSpec spec = canonicalize(small_spec());
-    AsucaModel<double> model(build_config(spec));
-    init_model(model, spec);
-    State<double> s = model.state();
-
-    resilience::RankFieldCopy<double> copy;  // incremental OFF (default)
-    const std::size_t full = copy.capture_dynamic(s);
-    EXPECT_GT(full, 0u);
-    EXPECT_EQ(copy.capture_dynamic(s), full);  // no dirty tracking
-    State<double> dst = model.state();
-    copy.restore_dynamic(dst);
-    expect_bitwise(dst, s);
-}
-
 TEST(DurableSnapshot, SnapshotterReportsLocalizedRoundsAsFewerBytes) {
     const ScenarioSpec spec = canonicalize(small_spec());
     AsucaModel<double> model(build_config(spec));
@@ -548,7 +532,7 @@ TEST(DurableSnapshot, SnapshotterReportsLocalizedRoundsAsFewerBytes) {
     const auto source = [&](Index) -> const State<double>& { return s; };
 
     resilience::RollbackSnapshots<double> snap;
-    snap.configure(1, /*incremental=*/true);
+    snap.configure(1);
     snap.capture_sync(source, 0, 0.0);
     const std::size_t first = snap.last_round_bytes();
     EXPECT_GT(first, 0u);  // fresh buffers: a full copy
@@ -575,9 +559,9 @@ TEST(DurableSnapshot, SnapshotterReportsLocalizedRoundsAsFewerBytes) {
 }
 
 TEST(DurableSnapshot, GuardedRecoveryIsBitwiseWithAndWithoutIncremental) {
-    // The rollback-and-replay guarantee must hold identically for
-    // incremental snapshots and the tested full-copy fallback: an
-    // injected transient fault recovers to the clean run's exact bits.
+    // The rollback-and-replay guarantee holds with incremental
+    // snapshots (the only capture mode): an injected transient fault
+    // recovers to the clean run's exact bits.
     const ScenarioSpec spec = canonicalize(decomposed_spec(2));
     const ForecastResult clean = run_forecast(spec, nullptr, true);
     ASSERT_TRUE(clean.ok()) << clean.error;
@@ -585,25 +569,21 @@ TEST(DurableSnapshot, GuardedRecoveryIsBitwiseWithAndWithoutIncremental) {
     const ModelConfig<double> cfg = build_config(spec);
     AsucaModel<double> seed_model(cfg);
     init_model(seed_model, spec);
-    for (const bool incremental : {false, true}) {
-        cluster::MultiDomainConfig md;
-        md.resilience.enabled = true;
-        md.resilience.checkpoint_interval = 1;
-        md.resilience.incremental_snapshots = incremental;
-        md.resilience.faults.push_back(
-            {FaultKind::HaloCorrupt, 1, 1, VarId::RhoTheta, 0, 0, 0, {}});
-        cluster::MultiDomainRunner<double> runner(
-            cfg.grid, spec.px, spec.py, cfg.species, cfg.stepper, md);
-        runner.scatter(seed_model.state());
-        runner.advance(spec.steps);
-        State<double> got(seed_model.grid(), cfg.species);
-        got = seed_model.state();
-        runner.gather(got);
-        seed_model.stepper().apply_state_bcs(got);
-        expect_bitwise(*clean.state, got);
-        EXPECT_EQ(runner.injector().fired_count(), 1)
-            << (incremental ? "incremental" : "full-copy");
-    }
+    cluster::MultiDomainConfig md;
+    md.resilience.enabled = true;
+    md.resilience.checkpoint_interval = 1;
+    md.resilience.faults.push_back(
+        {FaultKind::HaloCorrupt, 1, 1, VarId::RhoTheta, 0, 0, 0, {}});
+    cluster::MultiDomainRunner<double> runner(
+        cfg.grid, spec.px, spec.py, cfg.species, cfg.stepper, md);
+    runner.scatter(seed_model.state());
+    runner.advance(spec.steps);
+    State<double> got(seed_model.grid(), cfg.species);
+    got = seed_model.state();
+    runner.gather(got);
+    seed_model.stepper().apply_state_bcs(got);
+    expect_bitwise(*clean.state, got);
+    EXPECT_EQ(runner.injector().fired_count(), 1);
 }
 
 // ---------------------------------------------------------------------

@@ -1,9 +1,11 @@
 // Unit tests for the asynchronous halo channels backing the concurrent
 // multi-domain executor: SPSC double-buffering, cross-thread ordering,
-// and the pack/unpack strip geometry (including the x-then-y corner
-// resolution) of HaloExchanger.
+// poison release of a blocked waiter, and the pack/unpack strip geometry
+// (including the x-then-y corner resolution) of HaloExchanger.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <thread>
 #include <vector>
@@ -96,6 +98,44 @@ TEST(HaloChannel, CrossThreadMessagesArriveCompleteAndInOrder) {
     producer.join();
     EXPECT_EQ(bad, 0);
     EXPECT_EQ(ch.in_flight(), 0u);
+}
+
+// A rank that throws poisons every channel of its runner; a peer blocked
+// on one must unwind at once, however the channel was configured (here:
+// not at all). A waiter still blocked 2 s after poison() is released by
+// one post, so a regression fails the test instead of hanging it.
+TEST(HaloChannel, PoisonReleasesABlockedWaiterOnADefaultChannel) {
+    HaloChannel<double> ch;
+    std::atomic<bool> returned{false};
+    HaloFault seen = HaloFault::None;
+    std::thread waiter([&] {
+        try {
+            ch.begin_receive();
+            ch.finish_receive();
+        } catch (const HaloFaultError& e) {
+            seen = e.fault;
+        }
+        returned.store(true);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    ch.poison();
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (!returned.load() && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    const bool released = returned.load();
+    if (!released) {
+        try {
+            ch.begin_post(1)[0] = 0.0;
+            ch.finish_post();
+        } catch (const HaloFaultError&) {
+            // The post itself refused: the waiter times out instead.
+        }
+    }
+    waiter.join();
+    EXPECT_TRUE(released) << "waiter still blocked 2 s after poison()";
+    EXPECT_EQ(seen, HaloFault::Poisoned);
 }
 
 // ---------------------------------------------------------------------

@@ -5,7 +5,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "src/core/diagnostics.hpp"
 #include "src/core/initial.hpp"
@@ -89,22 +92,50 @@ TEST(IoWriters, ConstantFieldPgmDoesNotDivideByZero) {
 }
 
 TEST(IoWriters, FailedJsonSaveKeepsThePreviousFile) {
-    // json_save commits by atomic rename: when the write cannot complete
-    // (here: its temp name is taken by a directory) it throws, and the
-    // file already at the path keeps its bytes.
+    // Every writer commits by atomic rename — json_save and the CSV and
+    // PGM writers alike: when the write cannot complete (here: its temp
+    // name is taken by a directory) it throws, and the file already at
+    // the path keeps its bytes.
     TempDir tmp;
-    const std::string path = tmp.file("doc.json");
     io::JsonValue old_doc;
     old_doc.set("version", 1);
-    io::json_save(path, old_doc);
-    const std::string old_bytes = io::read_file(path);
-    EXPECT_EQ(io::json_parse(old_bytes).dump(), old_doc.dump());
-
-    fs::create_directory(path + ".tmp");
     io::JsonValue new_doc;
     new_doc.set("version", 2);
-    EXPECT_THROW(io::json_save(path, new_doc), Error);
-    EXPECT_EQ(io::read_file(path), old_bytes);
+    const Array2<double> old_map(2, 2, 0, 1.0);
+    Array2<double> new_map(3, 2, 0, 2.0);
+    new_map(0, 0) = -1.0;
+    const Array3<double> old_cube({2, 2, 2}, 1, Layout::XZY, 1.0);
+    const Array3<double> new_cube({3, 2, 2}, 1, Layout::XZY, 2.0);
+    // Each writer, given whether to write the new content.
+    using Write = std::function<void(const std::string&, bool)>;
+    const std::pair<const char*, Write> writers[] = {
+        {"doc.json",
+         [&](const std::string& p, bool next) {
+             io::json_save(p, next ? new_doc : old_doc);
+         }},
+        {"map.csv",
+         [&](const std::string& p, bool next) {
+             io::write_csv(p, next ? new_map : old_map);
+         }},
+        {"slice.csv",
+         [&](const std::string& p, bool next) {
+             io::write_slice_csv(p, next ? new_cube : old_cube, 1);
+         }},
+        {"map.pgm",
+         [&](const std::string& p, bool next) {
+             io::write_pgm(p, next ? new_map : old_map);
+         }},
+    };
+    for (const auto& [name, write] : writers) {
+        const std::string path = tmp.file(name);
+        write(path, false);
+        const std::string old_bytes = io::read_file(path);
+        fs::create_directory(path + ".tmp");
+        EXPECT_THROW(write(path, true), Error) << name;
+        EXPECT_EQ(io::read_file(path), old_bytes) << name;
+    }
+    EXPECT_EQ(io::json_parse(io::read_file(tmp.file("doc.json"))).dump(),
+              old_doc.dump());
 }
 
 TEST(Diagnostics, TotalMassMatchesAnalyticVolumeIntegral) {

@@ -211,7 +211,7 @@ TEST(FaultInjector, FieldFaultsCorruptTheNamedCell) {
 
 TEST(ResilienceChannel, IntegrityPassesCleanMessages) {
     HaloChannel<double> ch;
-    ch.enable_guard(ChannelGuard{std::chrono::seconds(2), true}, 0, 1, 0);
+    ch.configure(std::chrono::seconds(2), 0, 1, 0);
     for (int msg = 0; msg < 5; ++msg) {
         auto& buf = ch.begin_post(64);
         for (std::size_t n = 0; n < buf.size(); ++n) {
@@ -226,7 +226,7 @@ TEST(ResilienceChannel, IntegrityPassesCleanMessages) {
 
 TEST(ResilienceChannel, CorruptedMessageIsDetected) {
     HaloChannel<double> ch;
-    ch.enable_guard(ChannelGuard{std::chrono::seconds(2), true}, 3, 1, 2);
+    ch.configure(std::chrono::seconds(2), 3, 1, 2);
     auto& buf = ch.begin_post(64);
     for (std::size_t n = 0; n < buf.size(); ++n) buf[n] = 1.0;
     ch.finish_post(/*corrupt_in_flight=*/true);
@@ -243,8 +243,7 @@ TEST(ResilienceChannel, CorruptedMessageIsDetected) {
 
 TEST(ResilienceChannel, ReceiveDeadlineTimesOutWithPeerSuspect) {
     HaloChannel<double> ch;
-    ch.enable_guard(ChannelGuard{std::chrono::milliseconds(60), true}, 2, 7,
-                    1);
+    ch.configure(std::chrono::milliseconds(60), 2, 7, 1);
     const auto t0 = std::chrono::steady_clock::now();
     try {
         ch.begin_receive();
@@ -259,7 +258,7 @@ TEST(ResilienceChannel, ReceiveDeadlineTimesOutWithPeerSuspect) {
 
 TEST(ResilienceChannel, PoisonReleasesABlockedWaiter) {
     HaloChannel<double> ch;
-    ch.enable_guard(ChannelGuard{std::chrono::seconds(30), true}, 0, 1, 0);
+    ch.configure(std::chrono::seconds(30), 0, 1, 0);
     HaloFault seen = HaloFault::None;
     std::thread waiter([&] {
         try {
@@ -604,8 +603,7 @@ TEST(ResilienceRecovery, RescatterResetsMassBaseline) {
 // accept it. Odd sizes exercise every tail case.
 TEST(ResilienceChannel, FusedPostHashMatchesStandaloneChecksum) {
     HaloChannel<double> ch;
-    ch.enable_guard(ChannelGuard{std::chrono::seconds(2), true}, 0, 1, 0);
-    ASSERT_TRUE(ch.integrity_on());
+    ch.configure(std::chrono::seconds(2), 0, 1, 0);
     int msg = 0;
     for (std::size_t size : {std::size_t(1), std::size_t(3), std::size_t(7),
                              std::size_t(13), std::size_t(64),
@@ -633,7 +631,7 @@ TEST(ResilienceChannel, FusedPostHashMatchesStandaloneChecksum) {
 
 TEST(ResilienceChannel, FusedPostHashMatchesStandaloneChecksumFloat) {
     HaloChannel<float> ch;
-    ch.enable_guard(ChannelGuard{std::chrono::seconds(2), true}, 0, 1, 1);
+    ch.configure(std::chrono::seconds(2), 0, 1, 1);
     auto& buf = ch.begin_post(37);
     hash::Fnv4 h;
     for (std::size_t n = 0; n < buf.size(); ++n) {
@@ -651,7 +649,7 @@ TEST(ResilienceChannel, FusedPostHashMatchesStandaloneChecksumFloat) {
 // recompute path does.
 TEST(ResilienceChannel, DeferredVerifyDetectsCorruption) {
     HaloChannel<double> ch;
-    ch.enable_guard(ChannelGuard{std::chrono::seconds(2), true}, 4, 9, 3);
+    ch.configure(std::chrono::seconds(2), 4, 9, 3);
     {
         auto& buf = ch.begin_post(32);
         hash::Fnv4 h;
@@ -675,7 +673,7 @@ TEST(ResilienceChannel, DeferredVerifyDetectsCorruption) {
 
 TEST(ResilienceChannel, DeferredVerifyPassesCleanMessages) {
     HaloChannel<double> ch;
-    ch.enable_guard(ChannelGuard{std::chrono::seconds(2), true}, 0, 1, 0);
+    ch.configure(std::chrono::seconds(2), 0, 1, 0);
     for (int msg = 0; msg < 3; ++msg) {
         auto& buf = ch.begin_post(17);
         hash::Fnv4 h;

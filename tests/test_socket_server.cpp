@@ -92,7 +92,7 @@ TEST(SocketServer, LoopbackForecastIsBitwiseIdenticalToInProcess) {
 TEST(SocketServer, MalformedFramesLeaveTheQueueUntouched) {
     SocketServer server(loopback_config());
     ForecastClient client("127.0.0.1", server.port());
-    const char* bad_frames[] = {
+    const std::string bad_frames[] = {
         "{\"v\":1,\"type\":\"forecast\"",          // truncated JSON
         "not json at all",                          // not JSON
         "{\"v\":2,\"type\":\"forecast\",\"spec\":{}}",  // future version
@@ -110,8 +110,10 @@ TEST(SocketServer, MalformedFramesLeaveTheQueueUntouched) {
         "{\"v\":1,\"type\":\"forecast\",\"spec\":{\"scenario\":"
         "\"warm_bubble\",\"nx\":16,\"ny\":16,\"nz\":12,\"steps\":2,"
         "\"perturb_amplitude\":1e999}}",
+        // nesting far past the JSON parser's depth bound
+        std::string(100000, '['),
     };
-    for (const char* frame : bad_frames) {
+    for (const std::string& frame : bad_frames) {
         const io::JsonValue reply = io::json_parse(client.raw_roundtrip(frame));
         EXPECT_FALSE(reply.at("ok").as_bool()) << frame;
         EXPECT_EQ(reply.at("error").at("code").as_string(), "bad_request")

@@ -13,10 +13,18 @@
 //   * Response/result mapping — the degraded/failure taxonomy serializes
 //     losslessly, and the durable result cache's on-disk JSON reloads
 //     into the same wire answer.
+//   * Seeded fuzzing — byte mutations and member-type swaps of every
+//     frame kind either parse or throw the codec's typed error, never
+//     anything else.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <iterator>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/io/json.hpp"
@@ -281,6 +289,8 @@ TEST(WireNegative, OutOfRangeAndNonIntegralNumbersAreRejected) {
         const char* value;
     } cases[] = {
         {"nx", "0"},          {"nx", "2097152"},  {"nx", "3.5"},
+        // Far outside every integer type: rejected before any cast.
+        {"nx", "1e300"},
         {"steps", "0"},       {"steps", "-4"},    {"px", "70000"},
         {"member", "-1"},     {"coarsen", "7"},
         {"perturb_amplitude", "-0.5"},
@@ -344,6 +354,238 @@ TEST(WireNegative, VersionAndTypeGatesHold) {
     j.set("type", "divination");
     j.set("spec", wire::spec_to_json(small_spec()));
     expect_bad_request([&] { wire::request_from_json(j); }, "bad type");
+}
+
+TEST(WireNegative, DeepNestingIsABadRequestNotACrash) {
+    // The JSON parser recurses once per '[' or '{'; past kMaxJsonDepth a
+    // hostile line is rejected instead of exhausting the stack.
+    for (const int depth : {io::kMaxJsonDepth + 1, 100000}) {
+        expect_bad_request(
+            [&] {
+                wire::parse_request_line(
+                    std::string(static_cast<std::size_t>(depth), '['));
+            },
+            "deep nesting");
+    }
+    const std::size_t limit = io::kMaxJsonDepth;
+    EXPECT_NO_THROW(io::json_parse(std::string(limit, '[') +
+                                   std::string(limit, ']')));
+}
+
+// ---------------------------------------------------------------------
+// Seeded fuzzing: a mutated frame parses or throws the typed error.
+// ---------------------------------------------------------------------
+
+/// One seeded byte mutation of a (non-empty) frame: a bit flip, a
+/// truncation, a run of random bytes, or inserted JSON structure
+/// characters.
+std::string mutate_bytes(std::string s, std::mt19937_64& rng) {
+    const auto below = [&](std::size_t n) {
+        return n == 0 ? std::size_t(0) : static_cast<std::size_t>(rng() % n);
+    };
+    switch (rng() % 4) {
+        case 0:  // bit flip
+            s[below(s.size())] ^= static_cast<char>(1u << (rng() % 8));
+            break;
+        case 1:  // truncation
+            s.resize(below(s.size()));
+            break;
+        case 2: {  // run of random bytes
+            const std::size_t at = below(s.size());
+            const std::size_t len =
+                1 + below(std::min<std::size_t>(16, s.size() - at));
+            for (std::size_t k = 0; k < len; ++k) {
+                s[at + k] = static_cast<char>(rng());
+            }
+            break;
+        }
+        default: {  // inserted structure characters
+            static constexpr char kStructure[] = "[{\",:";
+            for (std::size_t n = 1 + below(4); n > 0; --n) {
+                s.insert(s.begin() + static_cast<std::ptrdiff_t>(
+                                         below(s.size() + 1)),
+                         kStructure[below(sizeof(kStructure) - 1)]);
+            }
+        }
+    }
+    return s;
+}
+
+int json_kind(const io::JsonValue& v) {
+    return v.is_null() ? 0 : v.is_bool() ? 1 : v.is_number() ? 2
+         : v.is_string() ? 3 : v.is_array() ? 4 : 5;
+}
+
+int count_members(const io::JsonValue& doc) {
+    if (!doc.is_object()) return 0;
+    int n = 0;
+    for (const auto& [key, v] : doc.as_object()) n += 1 + count_members(v);
+    return n;
+}
+
+/// `doc` with its `target`-th object member, counted depth-first over
+/// every nesting level, replaced by `swap(member)`.
+template <typename Swap>
+io::JsonValue replace_member(const io::JsonValue& doc, int& target,
+                             Swap&& swap) {
+    if (!doc.is_object()) return doc;
+    io::JsonValue out{io::JsonMembers{}};
+    for (const auto& [key, v] : doc.as_object()) {
+        out.set(key, target-- == 0 ? swap(v) : replace_member(v, target, swap));
+    }
+    return out;
+}
+
+/// One member of `doc`, at any depth, swapped for a value of another
+/// JSON type.
+std::string swap_member_type(const io::JsonValue& doc, std::mt19937_64& rng) {
+    static const io::JsonValue kValues[] = {
+        io::JsonValue(nullptr),         io::JsonValue(true),
+        io::JsonValue(5),               io::JsonValue(-2.5),
+        io::JsonValue(""),              io::JsonValue("nope"),
+        io::JsonValue(io::JsonArray{}), io::JsonValue(io::JsonArray{5}),
+        io::JsonValue(io::JsonMembers{}),
+    };
+    int target = static_cast<int>(
+        rng() % static_cast<std::uint64_t>(count_members(doc)));
+    return replace_member(doc, target,
+                          [&](const io::JsonValue& member) {
+                              const io::JsonValue* with = nullptr;
+                              do {
+                                  with = &kValues[rng() % std::size(kValues)];
+                              } while (json_kind(*with) == json_kind(member));
+                              return *with;
+                          })
+        .dump_compact();
+}
+
+struct WireFuzzTally {
+    int parsed = 0;
+    int rejected = 0;
+};
+
+/// Run `cases` seeded mutations of `doc` (alternating byte mutations of
+/// its compact frame and member-type swaps) through `parse`, which must
+/// either succeed or throw `Typed` carrying bad_request when `Typed` is
+/// WireError. Any other exception fails the test.
+template <typename Typed, typename Parse>
+WireFuzzTally fuzz_frames(const io::JsonValue& doc, int cases,
+                          std::uint64_t seed, Parse&& parse) {
+    const std::string frame = doc.dump_compact();
+    std::mt19937_64 rng(seed);
+    WireFuzzTally tally;
+    for (int c = 0; c < cases; ++c) {
+        const std::string line = c % 2 == 0 ? mutate_bytes(frame, rng)
+                                            : swap_member_type(doc, rng);
+        try {
+            parse(line);
+            ++tally.parsed;
+        } catch (const Typed& e) {
+            if constexpr (std::is_same_v<Typed, wire::WireError>) {
+                EXPECT_EQ(e.code(), ErrorCode::bad_request) << line;
+            }
+            ++tally.rejected;
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "case " << c << ": untyped exception \""
+                          << e.what() << "\" for frame " << line;
+        } catch (...) {
+            ADD_FAILURE() << "case " << c << ": non-std exception for frame "
+                          << line;
+        }
+        if (::testing::Test::HasFailure()) break;  // one report, not 4000
+    }
+    return tally;
+}
+
+constexpr int kFuzzCases = 4000;
+
+wire::ForecastRequestV1 full_request() {
+    wire::ForecastRequestV1 req;
+    req.spec = small_spec();
+    req.spec.px = 2;
+    req.spec.warm_start = "analysis";
+    req.spec.perturb_seed = 0xfedcba9876543210ull;
+    req.spec.perturb_amplitude = 1.0e-3;
+    req.id = 77;
+    req.client = "fuzzer";
+    req.deadline_ms = 2500;
+    return req;
+}
+
+ForecastResult full_result() {
+    ForecastResult res;
+    res.executed = canonicalize(small_spec());
+    res.degrade_level = 1;
+    res.steps_run = 2;
+    res.fingerprint = 0x0123456789abcdefull;
+    res.max_w = 0.5;
+    res.total_mass = 2.0e9;
+    res.latency_ms = 12.5;
+    return res;
+}
+
+TEST(WireFuzz, MutatedRequestFramesParseOrAreBadRequests) {
+    const WireFuzzTally t = fuzz_frames<wire::WireError>(
+        wire::request_to_json(full_request()), kFuzzCases,
+        0x3172e0001ull,
+        [](const std::string& line) { wire::parse_request_line(line); });
+    EXPECT_GT(t.parsed, 0);
+    EXPECT_GT(t.rejected, 0);
+}
+
+TEST(WireFuzz, MutatedResponseFramesParseOrAreBadRequests) {
+    const ForecastResult res = full_result();
+    const wire::ForecastResponseV1 ok = wire::result_to_response(4, res);
+    const wire::ForecastResponseV1 failed = wire::error_response(
+        5, ErrorCode::internal_fault, "multi-domain step 1 failed");
+    std::uint64_t seed = 0x3172e0002ull;
+    for (const auto* r : {&ok, &failed}) {
+        const WireFuzzTally t = fuzz_frames<wire::WireError>(
+            wire::response_to_json(*r), kFuzzCases, seed++,
+            [](const std::string& line) { wire::parse_response_line(line); });
+        EXPECT_GT(t.parsed, 0);
+        EXPECT_GT(t.rejected, 0);
+    }
+}
+
+TEST(WireFuzz, MutatedDurableResultsLoadOrThrowAsucaError) {
+    const WireFuzzTally t = fuzz_frames<Error>(
+        wire::result_to_json(full_result()), kFuzzCases, 0x3172e0004ull,
+        [](const std::string& line) {
+            wire::result_from_json(io::json_parse(line));
+        });
+    EXPECT_GT(t.parsed, 0);
+    EXPECT_GT(t.rejected, 0);
+}
+
+// The two frames the fuzzer first tripped on: both threw a plain
+// asuca::Error past parse_response_line's bad_request contract.
+TEST(WireFuzz, ErrorDetailOfAnotherTypeIsABadRequest) {
+    expect_bad_request(
+        [] {
+            wire::parse_response_line(
+                "{\"v\":1,\"id\":\"1\",\"ok\":false,\"error\":"
+                "{\"code\":\"bad_request\",\"detail\":5}}");
+        },
+        "numeric detail");
+    // Details are not capped at kMaxWireString: fatal-fault and
+    // watchdog reports run longer.
+    const std::string report(4 * wire::kMaxWireString, 'w');
+    const wire::ForecastResponseV1 r = wire::parse_response_line(
+        wire::response_to_json(
+            wire::error_response(2, ErrorCode::internal_fault, report))
+            .dump_compact());
+    EXPECT_EQ(r.error.detail, report);
+}
+
+TEST(WireFuzz, UnknownErrorCodeIsABadRequest) {
+    expect_bad_request(
+        [] {
+            wire::parse_response_line(
+                "{\"v\":1,\"id\":\"1\",\"ok\":false,\"error\":"
+                "{\"code\":\"nope\",\"detail\":\"\"}}");
+        },
+        "unknown code");
 }
 
 }  // namespace
