@@ -12,28 +12,6 @@
 using namespace asuca;
 using namespace asuca::bench;
 
-static double host_step_seconds(Layout layout, Index column_batch = 0) {
-    ModelConfig<double> cfg;
-    const auto ref = benchmark_model_config();
-    cfg.grid = ref.grid;
-    cfg.grid.nx = 64;
-    cfg.grid.ny = 32;
-    cfg.grid.nz = 48;
-    cfg.grid.layout = layout;
-    cfg.stepper = ref.stepper;
-    cfg.stepper.acoustic.column_batch = column_batch;
-    cfg.microphysics = true;
-    cfg.species = SpeciesSet::warm_rain();
-    AsucaModel<double> model(cfg);
-    model.initialize(AtmosphereProfile::constant_n(300.0, 0.01), 10.0, 0.0);
-    model.step();  // warm-up
-    Timer t;
-    t.start();
-    model.run(2);
-    t.stop();
-    return t.seconds() / 2;
-}
-
 int main() {
     title("Ablation — array ordering: kij(z,x,y) vs xzy(x,z,y)");
 
@@ -56,10 +34,13 @@ int main() {
     // the layout-aware kernels). The batched sweep leans on i-inner
     // unit-stride, so its gain and the layout's interact — hence the
     // full 2x2.
-    const double t_xzy = host_step_seconds(Layout::XZY);
-    const double t_zxy = host_step_seconds(Layout::ZXY);
-    const double t_xzy_w1 = host_step_seconds(Layout::XZY, 1);
-    const double t_zxy_w1 = host_step_seconds(Layout::ZXY, 1);
+    const Int3 host_mesh{64, 32, 48};
+    const double t_xzy = measure_host_seconds_per_step(host_mesh, 2);
+    const double t_zxy =
+        measure_host_seconds_per_step(host_mesh, 2, 0, Layout::ZXY);
+    const double t_xzy_w1 = measure_host_seconds_per_step(host_mesh, 2, 1);
+    const double t_zxy_w1 =
+        measure_host_seconds_per_step(host_mesh, 2, 1, Layout::ZXY);
     std::printf("\n  measured host step [ms]     %10s %10s\n", "W=1",
                 "batched");
     std::printf("  xzy layout                  %10.1f %10.1f\n",

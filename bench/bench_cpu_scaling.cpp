@@ -38,31 +38,13 @@ struct RunResult {
 RunResult run_at(Int3 mesh, std::size_t threads, int steps,
                  Index column_batch = 0) {
     ThreadPool::set_global_threads(threads);
-
-    ModelConfig<double> cfg;
-    const auto ref = benchmark_model_config();
-    cfg.grid = ref.grid;
-    cfg.grid.nx = mesh.x;
-    cfg.grid.ny = mesh.y;
-    cfg.grid.nz = mesh.z;
-    cfg.stepper = ref.stepper;
-    cfg.stepper.acoustic.column_batch = column_batch;
-    cfg.kessler = ref.kessler;
-    cfg.microphysics = ref.microphysics;
-    cfg.species = ref.species;
-    AsucaModel<double> model(cfg);
-    model.initialize(AtmosphereProfile::constant_n(300.0, 0.01), 10.0, 0.0);
-    set_relative_humidity(
-        model.grid(), [](double z) { return z < 2000.0 ? 0.6 : 0.2; },
-        model.state());
-    model.stepper().apply_state_bcs(model.state());
-    model.step();  // warm-up: cold memory + workspace sync
+    const auto model = make_host_model(mesh, column_batch);
 
     auto& reg = KernelRegistry::global();
     reg.reset();
     Timer t;
     t.start();
-    model.run(steps);
+    model->run(steps);
     t.stop();
 
     RunResult r;

@@ -30,7 +30,6 @@
 #include "bench/bench_util.hpp"
 #include "src/cluster/multidomain.hpp"
 #include "src/cluster/step_model.hpp"
-#include "src/core/initial.hpp"
 #include "src/parallel/thread_pool.hpp"
 
 using namespace asuca;
@@ -38,30 +37,6 @@ using namespace asuca::bench;
 using namespace asuca::cluster;
 
 namespace {
-
-GridSpec make_global(Int3 mesh) {
-    GridSpec s;
-    s.nx = mesh.x;
-    s.ny = mesh.y;
-    s.nz = mesh.z;
-    s.dx = 1000.0;
-    s.dy = 1000.0;
-    s.ztop = 10000.0;
-    s.terrain = bell_mountain(350.0, 3000.0,
-                              0.5 * static_cast<double>(mesh.x) * s.dx,
-                              0.5 * static_cast<double>(mesh.y) * s.dy);
-    return s;
-}
-
-TimeStepperConfig make_stepper_cfg() {
-    TimeStepperConfig cfg;
-    cfg.dt = 4.0;
-    cfg.n_short_steps = 6;
-    cfg.diffusion.kh = 10.0;
-    cfg.diffusion.kv = 1.0;
-    cfg.sponge.z_start = 8000.0;
-    return cfg;
-}
 
 /// Median and quartiles (linear interpolation between order statistics).
 struct Spread {
@@ -119,16 +94,12 @@ int main(int argc, char** argv) {
     ASUCA_REQUIRE(steps >= 1 && reps >= 1, "need steps >= 1 and reps >= 1");
 
     const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
-    const auto spec = make_global(mesh);
+    const auto spec = bell_mountain_grid(mesh);
     const auto species = SpeciesSet::warm_rain();
-    const auto cfg = make_stepper_cfg();
+    const auto cfg = bell_mountain_stepper();
 
     Grid<double> grid(spec);
-    State<double> initial(grid, species);
-    initialize_hydrostatic(grid, AtmosphereProfile::constant_n(292.0, 0.011),
-                           8.0, 3.0, initial);
-    set_relative_humidity(
-        grid, [](double z) { return z < 2000.0 ? 0.8 : 0.3; }, initial);
+    const State<double> initial = bell_mountain_state(grid, species);
 
     std::printf("  mesh %lldx%lldx%lld, %d interleaved reps x %d steps, "
                 "%zu host thread%s\n",

@@ -5,32 +5,29 @@
 // per-feature ablation on the same case, so the remaining overhead is
 // attributable —
 //
-//   off              — resilience disabled: plain step(), no snapshots,
-//                      no watchdog. Its channels still carry the
-//                      detection every runner has: deadline-bounded
-//                      waits and a fused FNV-1a integrity word per halo
-//                      message (hash accumulated inside the pack/unpack
-//                      copy loops; payload bytes are touched once);
-//   watchdog_sampled — + the strided health scan (every 4th cell,
-//                      rotating offset, exhaustive sweep every 16th
-//                      step) with CFL and global-mass checks;
-//   watchdog_full    — + the exhaustive per-step scan (the
-//                      pre-sampling behavior, for attribution);
-//   snapshot         — + a double-buffered rollback point after every
-//                      step: each rank copies its own new state into the
-//                      staging buffer at the end of its step program,
-//                      and the round is promoted when the step commits;
-//   guarded          — the production protection config: sampled
-//                      watchdog + a rollback point every 16 steps;
-//   recovering       — guarded with a rollback point after EVERY step
-//                      (checkpoint_interval = 1).
+//   off        — resilience disabled: plain step(), no snapshots, no
+//                watchdog. Its channels still carry the detection every
+//                runner has: deadline-bounded waits and a fused FNV-1a
+//                integrity word per halo message (hash accumulated
+//                inside the pack/unpack copy loops; payload bytes are
+//                touched once);
+//   watchdog   — + the watchdog's scan of every interior cell after
+//                every step, with CFL and global-mass checks;
+//   snapshot   — + a double-buffered rollback point after every step:
+//                each rank copies its own new state into the staging
+//                buffer at the end of its step program, and the round
+//                is promoted when the step commits;
+//   guarded    — the watchdog + a rollback point every 16 steps;
+//   recovering — the watchdog + a rollback point after EVERY step
+//                (checkpoint_interval = 1).
 //
 // All variants produce bitwise-identical states (tests/test_resilience
 // .cpp); the delta is pure recovery overhead. Each variant runs warmup
 // steps before timing (cold allocation, first snapshot); timed windows
 // are interleaved round-robin across the variants and the reported
 // overhead is the median of per-rep ratios against the off run of the
-// same cycle (see the comments at the measurement loops).
+// same cycle (see the comments at the measurement loops). Every rep's
+// seconds per step is recorded in the JSON next to the medians.
 //
 // A second section measures snapshot BYTES (resilience.snapshot_bytes)
 // on a localized-update workload: j-slab dirty tracking must copy far
@@ -38,14 +35,13 @@
 // would move). Results go to BENCH_resilience.json.
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <cstdlib>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.hpp"
 #include "src/cluster/multidomain.hpp"
-#include "src/core/initial.hpp"
 #include "src/parallel/thread_pool.hpp"
 
 using namespace asuca;
@@ -54,36 +50,10 @@ using namespace asuca::cluster;
 
 namespace {
 
-GridSpec make_global(Int3 mesh) {
-    GridSpec s;
-    s.nx = mesh.x;
-    s.ny = mesh.y;
-    s.nz = mesh.z;
-    s.dx = 1000.0;
-    s.dy = 1000.0;
-    s.ztop = 10000.0;
-    s.terrain = bell_mountain(350.0, 3000.0,
-                              0.5 * static_cast<double>(mesh.x) * s.dx,
-                              0.5 * static_cast<double>(mesh.y) * s.dy);
-    return s;
-}
-
-TimeStepperConfig make_stepper_cfg() {
-    TimeStepperConfig cfg;
-    cfg.dt = 4.0;
-    cfg.n_short_steps = 6;
-    cfg.diffusion.kh = 10.0;
-    cfg.diffusion.kv = 1.0;
-    cfg.sponge.z_start = 8000.0;
-    return cfg;
-}
-
 struct Variant {
     const char* name;
     bool enabled;
-    bool watchdog;            // finite + CFL + global mass drift
-    Index watchdog_stride;    // 1 = exhaustive
-    long long full_sweep;     // 0 = never
+    bool watchdog;  // finite + CFL + global mass drift
     long long checkpoint_interval;
 };
 
@@ -93,8 +63,6 @@ void apply(const Variant& v, MultiDomainConfig& md) {
     if (v.watchdog) {
         md.resilience.watchdog.cfl_limit = 10.0;
         md.resilience.watchdog.mass_drift_tol = 1.0e-6;
-        md.resilience.watchdog.sample_stride = v.watchdog_stride;
-        md.resilience.watchdog.full_sweep_period = v.full_sweep;
     } else {
         md.resilience.watchdog.check_finite = false;
     }
@@ -103,8 +71,7 @@ void apply(const Variant& v, MultiDomainConfig& md) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    title("Resilience overhead — sampled watchdog, rank-staged "
-          "snapshots");
+    title("Resilience overhead — watchdog, rank-staged snapshots");
 
     Int3 mesh{48, 24, 24};
     int steps = 6;   // timed steps per rep
@@ -121,26 +88,21 @@ int main(int argc, char** argv) {
     const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
     const std::size_t per_rank = std::max<std::size_t>(
         1, hw / static_cast<std::size_t>(px * py));
-    const auto spec = make_global(mesh);
+    const auto spec = bell_mountain_grid(mesh);
     const auto species = SpeciesSet::warm_rain();
-    const auto cfg = make_stepper_cfg();
+    const auto cfg = bell_mountain_stepper();
 
     Grid<double> grid(spec);
-    State<double> initial(grid, species);
-    initialize_hydrostatic(grid, AtmosphereProfile::constant_n(292.0, 0.011),
-                           8.0, 3.0, initial);
-    set_relative_humidity(
-        grid, [](double z) { return z < 2000.0 ? 0.8 : 0.3; }, initial);
+    const State<double> initial = bell_mountain_state(grid, species);
 
     const long long never = 1ll << 40;
     const Variant variants[] = {
-        //                 name        en     wd     stride sweep interval
-        {"off", false, false, 1, 0, never},
-        {"watchdog_sampled", true, true, 4, 16, never},
-        {"watchdog_full", true, true, 1, 0, never},
-        {"snapshot", true, false, 1, 0, 1},
-        {"guarded", true, true, 4, 16, 16},
-        {"recovering", true, true, 4, 16, 1},
+        // name          enabled watchdog interval
+        {"off", false, false, never},
+        {"watchdog", true, true, never},
+        {"snapshot", true, false, 1},
+        {"guarded", true, true, 16},
+        {"recovering", true, true, 1},
     };
 
     // Rank workers carry the parallelism; keep the global pool out of
@@ -184,14 +146,6 @@ int main(int argc, char** argv) {
         }
     }
     runners.clear();
-
-    if (std::getenv("ASUCA_BENCH_VERBOSE")) {
-        for (std::size_t n = 0; n < nv; ++n) {
-            std::printf("  # %-18s", variants[n].name);
-            for (const double s : samples[n]) std::printf(" %7.4f", s);
-            std::printf("\n");
-        }
-    }
 
     // Per-rep PAIRED ratios against the off run of the same rep cycle:
     // each ratio compares times taken seconds apart, so slow phases of
@@ -261,8 +215,8 @@ int main(int argc, char** argv) {
     note("into the halo pack/unpack copy loops; a snapshot is a");
     note("double-buffered raw copy that each rank takes of its own state");
     note("at the end of a due step, on its own worker and not overlapped");
-    note("with compute; the sampled watchdog scans every 4th cell");
-    note("(rotating offset) with an exhaustive sweep every 16 steps.");
+    note("with compute; the watchdog scans every interior cell of every");
+    note("rank after every step.");
 
     io::JsonValue doc;
     doc.set("config", "mountain_wave_warm_rain");
@@ -277,11 +231,14 @@ int main(int argc, char** argv) {
     doc.set("hardware_threads", static_cast<long long>(hw));
     doc.set("compiler", __VERSION__);
     io::JsonArray vs;
-    for (const auto& r : results) {
+    for (std::size_t n = 0; n < nv; ++n) {
         io::JsonValue row;
-        row.set("variant", r.name);
-        row.set("seconds_per_step", r.seconds_per_step);
-        row.set("overhead_vs_off", r.overhead);
+        row.set("variant", results[n].name);
+        row.set("seconds_per_step", results[n].seconds_per_step);
+        row.set("overhead_vs_off", results[n].overhead);
+        io::JsonArray per_rep;
+        for (const double s : samples[n]) per_rep.push_back(io::JsonValue(s));
+        row.set("rep_seconds_per_step", std::move(per_rep));
         vs.push_back(std::move(row));
     }
     doc.set("variants", std::move(vs));

@@ -10,7 +10,11 @@
 // WorkerPoison faults) requests/s, client-observed p50/p99 latency
 // (submit -> completion, queueing included), the degradation/shed/
 // failure counts, and the retry-ladder counters for the faulted row
-// (retried/quarantined/reinstated, dropped must stay 0).
+// (retried/quarantined/reinstated, dropped must stay 0). Every phase
+// runs the server's one admission rule (forecast_server.hpp
+// admission_rule) with admission_target_ms set to the calibrated cost of
+// one request, so an estimated wait of half a request sheds the horizon
+// and 2x load reaches the ladder.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -69,17 +73,13 @@ double percentile(std::vector<double> sorted, double p) {
 /// client-observed completion latency (one waiter thread per handle).
 /// A non-empty fault plan arms the server's injector (WorkerPoison):
 /// the retry ladder must absorb the faults with zero dropped requests.
-PhaseResult run_phase(int workers, int n, double gap_ms,
-                      resilience::FaultPlan faults = {},
-                      AdmissionPolicy admission =
-                          AdmissionPolicy::queue_depth) {
+PhaseResult run_phase(int workers, int n, double gap_ms, double target_ms,
+                      resilience::FaultPlan faults = {}) {
     ServerConfig cfg;
     cfg.n_workers = static_cast<std::size_t>(workers);
     cfg.queue_capacity = 4;      // small bound: overload hits the ladder
     cfg.cache_results = false;   // measure executions, not cache hits
-    // The historical phases stay on the depth watermarks so rows remain
-    // comparable across revisions; the A/B section flips this.
-    cfg.admission = admission;
+    cfg.admission_target_ms = target_ms;
     cfg.faults = std::move(faults);
     cfg.retry_backoff = std::chrono::milliseconds(1);
     cfg.canary_backoff = std::chrono::milliseconds(1);
@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
         const Phase phase = run.phase;
         const double gap_ms = cost_ms / workers / phase.factor;
         const PhaseResult r =
-            run_phase(workers, requests, gap_ms, run.plan);
+            run_phase(workers, requests, gap_ms, cost_ms, run.plan);
         std::printf("  %-9s %10.2f %10.2f %7.1fms %7.1fms %6d %9d %5llu\n",
                     phase.name, r.offered_rps, r.achieved_rps, r.p50_ms,
                     r.p99_ms, r.completed_full, r.completed_degraded,
@@ -195,44 +195,6 @@ int main(int argc, char** argv) {
         phases_json.push_back(std::move(row));
     }
 
-    // Admission A/B: the same 2x overload offered to both policies. The
-    // depth watermarks degrade on a tuned constant; the calibrated
-    // estimator degrades only when MEASURED service times say the wait
-    // would blow admission_target_ms. Either way nothing may drop — the
-    // default queue blocks (backpressure), it never sheds.
-    io::JsonArray ab_json;
-    std::printf("\n  %-19s %10s %9s %9s %6s %9s %7s\n", "admission@2x",
-                "served/s", "p50", "p99", "full", "degraded", "dropped");
-    struct Ab {
-        const char* name;
-        AdmissionPolicy policy;
-    };
-    for (const Ab& ab :
-         {Ab{"queue_depth", AdmissionPolicy::queue_depth},
-          Ab{"latency_calibrated", AdmissionPolicy::latency_calibrated}}) {
-        const double gap_ms = cost_ms / workers / 2.0;
-        const PhaseResult r =
-            run_phase(workers, requests, gap_ms, {}, ab.policy);
-        const auto dropped =
-            (unsigned long long)(r.stats.shed + r.stats.failed);
-        std::printf("  %-19s %10.2f %7.1fms %7.1fms %6d %9d %7llu\n",
-                    ab.name, r.achieved_rps, r.p50_ms, r.p99_ms,
-                    r.completed_full, r.completed_degraded, dropped);
-        io::JsonValue row;
-        row.set("policy", ab.name);
-        row.set("offered_factor", 2.0);
-        row.set("achieved_rps", r.achieved_rps);
-        row.set("latency_p50_ms", r.p50_ms);
-        row.set("latency_p99_ms", r.p99_ms);
-        row.set("completed_full", r.completed_full);
-        row.set("completed_degraded", r.completed_degraded);
-        row.set("degraded", (long long)r.stats.degraded);
-        row.set("shed", (long long)r.stats.shed);
-        row.set("failed", (long long)r.stats.failed);
-        row.set("dropped", (long long)(r.stats.shed + r.stats.failed));
-        ab_json.push_back(std::move(row));
-    }
-
     bench::note("2x overload must show degraded > 0 and shed == 0: the");
     bench::note("ladder trades resolution for admission, never drops.");
     bench::note("1x+faults must show quarantined > 0 and dropped == 0:");
@@ -244,8 +206,12 @@ int main(int argc, char** argv) {
     doc.set("requests_per_phase", requests);
     doc.set("queue_capacity", 4);
     doc.set("calibrated_request_ms", cost_ms);
+    doc.set("admission_target_ms", cost_ms);
     doc.set("capacity_rps", capacity_rps);
+    doc.set("hardware_threads",
+            static_cast<long long>(
+                std::max(1u, std::thread::hardware_concurrency())));
+    doc.set("compiler", __VERSION__);
     doc.set("phases", std::move(phases_json));
-    doc.set("admission_ab", std::move(ab_json));
     return bench::write_json("BENCH_server.json", doc) ? 0 : 1;
 }

@@ -32,20 +32,6 @@ using namespace asuca::bench;
 
 namespace {
 
-ModelConfig<double> make_bench_config(Int3 mesh) {
-    ModelConfig<double> cfg;
-    const auto ref = benchmark_model_config();
-    cfg.grid = ref.grid;
-    cfg.grid.nx = mesh.x;
-    cfg.grid.ny = mesh.y;
-    cfg.grid.nz = mesh.z;
-    cfg.stepper = ref.stepper;
-    cfg.kessler = ref.kessler;
-    cfg.microphysics = ref.microphysics;
-    cfg.species = ref.species;
-    return cfg;
-}
-
 double best_seconds_per_step(AsucaModel<double>& model, int steps,
                              int reps) {
     double best = 0.0;
@@ -80,25 +66,18 @@ int main(int argc, char** argv) {
                 static_cast<long long>(mesh.y),
                 static_cast<long long>(mesh.z), reps, steps);
 
-    const auto cfg = make_bench_config(mesh);
-    AsucaModel<double> model(cfg);
-    model.initialize(AtmosphereProfile::constant_n(300.0, 0.01), 10.0, 0.0);
-    set_relative_humidity(
-        model.grid(), [](double z) { return z < 2000.0 ? 0.6 : 0.2; },
-        model.state());
-    model.stepper().apply_state_bcs(model.state());
-    model.step();  // warm-up: cold memory + workspace sync
+    const auto model = make_host_model(mesh);
 
     // disabled — the production default (instrumentation compiled in,
     // every emission gated on one relaxed load).
     obs::TraceRecorder::global().disable();
     obs::MetricsRegistry::global().disable();
-    const double s_disabled = best_seconds_per_step(model, steps, reps);
+    const double s_disabled = best_seconds_per_step(*model, steps, reps);
 
     // enabled — spans land in the rings, counters increment.
     obs::TraceRecorder::global().enable();
     obs::MetricsRegistry::global().enable();
-    const double s_enabled = best_seconds_per_step(model, steps, reps);
+    const double s_enabled = best_seconds_per_step(*model, steps, reps);
     obs::TraceRecorder::global().disable();
     obs::MetricsRegistry::global().disable();
 

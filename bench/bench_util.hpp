@@ -1,10 +1,13 @@
 // Shared helpers for the figure/table reproduction benches: one cached
-// FLOP calibration (the PAPI substitute), small table-printing helpers
-// and the common machine-readable output path (structured JSON via
-// src/io/json.hpp — benches no longer hand-concatenate JSON strings).
+// FLOP calibration (the PAPI substitute), the two scenarios the host
+// measurements run (the Sec. IV-B model and the decomposed benches'
+// bell-mountain case), small table-printing helpers and the common
+// machine-readable output path (structured JSON via src/io/json.hpp —
+// benches no longer hand-concatenate JSON strings).
 #pragma once
 
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "src/common/timer.hpp"
@@ -43,31 +46,86 @@ inline gpusim::StepEstimate model_step_at(const gpusim::RooflineModel& model,
     return gpusim::estimate_step(calibration().records, model, scale);
 }
 
-/// Run the real (double-precision) model for `steps` long steps on this
-/// host and return measured wall seconds per step.
-inline double measure_host_seconds_per_step(Int3 mesh, int steps = 1) {
+/// The Sec. IV-B benchmark model (benchmark_model_config: mountain wave
+/// + warm rain) in double precision on `mesh`, with a moist lower
+/// troposphere so the Kessler pass has cloud to make, ready to time:
+/// initialized, boundary-filled and one untimed step taken (the first
+/// step touches cold memory). `column_batch` forces the acoustic
+/// sweep's width (0 = auto); `layout` picks the array ordering.
+inline std::unique_ptr<AsucaModel<double>> make_host_model(
+    Int3 mesh, Index column_batch = 0, Layout layout = Layout::XZY) {
     ModelConfig<double> cfg;
     const auto ref = benchmark_model_config();
     cfg.grid = ref.grid;
     cfg.grid.nx = mesh.x;
     cfg.grid.ny = mesh.y;
     cfg.grid.nz = mesh.z;
+    cfg.grid.layout = layout;
     cfg.stepper = ref.stepper;
+    cfg.stepper.acoustic.column_batch = column_batch;
     cfg.kessler = ref.kessler;
     cfg.microphysics = ref.microphysics;
     cfg.species = ref.species;
-    AsucaModel<double> model(cfg);
-    model.initialize(AtmosphereProfile::constant_n(300.0, 0.01), 10.0, 0.0);
+    auto model = std::make_unique<AsucaModel<double>>(cfg);
+    model->initialize(AtmosphereProfile::constant_n(300.0, 0.01), 10.0, 0.0);
     set_relative_humidity(
-        model.grid(), [](double z) { return z < 2000.0 ? 0.6 : 0.2; },
-        model.state());
-    model.stepper().apply_state_bcs(model.state());
-    model.step();  // warm-up (first step touches cold memory)
+        model->grid(), [](double z) { return z < 2000.0 ? 0.6 : 0.2; },
+        model->state());
+    model->stepper().apply_state_bcs(model->state());
+    model->step();
+    return model;
+}
+
+/// Run the host model (make_host_model) for `steps` long steps on this
+/// host and return measured wall seconds per step.
+inline double measure_host_seconds_per_step(Int3 mesh, int steps = 1,
+                                            Index column_batch = 0,
+                                            Layout layout = Layout::XZY) {
+    const auto model = make_host_model(mesh, column_batch, layout);
     Timer t;
     t.start();
-    model.run(steps);
+    model->run(steps);
     t.stop();
     return t.seconds() / steps;
+}
+
+/// The decomposed benches' case on a `mesh` global grid: a 350 m bell
+/// mountain at its centre, 1 km spacing, a 10 km lid.
+inline GridSpec bell_mountain_grid(Int3 mesh) {
+    GridSpec s;
+    s.nx = mesh.x;
+    s.ny = mesh.y;
+    s.nz = mesh.z;
+    s.dx = 1000.0;
+    s.dy = 1000.0;
+    s.ztop = 10000.0;
+    s.terrain = bell_mountain(350.0, 3000.0,
+                              0.5 * static_cast<double>(mesh.x) * s.dx,
+                              0.5 * static_cast<double>(mesh.y) * s.dy);
+    return s;
+}
+
+/// The bell-mountain case's stepper: dt 4 s, 6 acoustic substeps.
+inline TimeStepperConfig bell_mountain_stepper() {
+    TimeStepperConfig cfg;
+    cfg.dt = 4.0;
+    cfg.n_short_steps = 6;
+    cfg.diffusion.kh = 10.0;
+    cfg.diffusion.kv = 1.0;
+    cfg.sponge.z_start = 8000.0;
+    return cfg;
+}
+
+/// The bell-mountain case's initial state: 8/3 m/s flow through a
+/// stable atmosphere, humid below 2 km.
+inline State<double> bell_mountain_state(const Grid<double>& grid,
+                                         const SpeciesSet& species) {
+    State<double> state(grid, species);
+    initialize_hydrostatic(grid, AtmosphereProfile::constant_n(292.0, 0.011),
+                           8.0, 3.0, state);
+    set_relative_humidity(
+        grid, [](double z) { return z < 2000.0 ? 0.8 : 0.3; }, state);
+    return state;
 }
 
 /// Measured GFlops of this host's CPU execution at a mesh (FLOPs from the

@@ -325,18 +325,16 @@ class MultiDomainRunner {
             // step: it lands before the health scan, so detection and
             // recovery exercise exactly the real-fault path. The ranks
             // staged their snapshot copies before it lands, so a rollback
-            // point stays clean even when a sampled watchdog detects the
-            // fault steps later.
+            // point stays clean even when the fault stays finite and the
+            // watchdog only sees it overflow in the next step.
             injector_.apply_field_faults(
                 step_index_, rank_count(),
                 [&](Index r) -> State<T>& { return rank_state(r); },
                 &recovery_log_);
             resilience::HealthReport report;
-            const bool scan_now = watchdog_.scan_due(step_index_);
-            if (scan_now) scan_all_ranks(report);
+            scan_all_ranks(report);
             double mass = 0.0;
-            const bool mass_now = track_mass && scan_now;
-            if (mass_now) {
+            if (track_mass) {
                 mass = global_mass();
                 watchdog_.check_mass(mass, mass_baseline_, 0, step_index_,
                                      report);
@@ -367,7 +365,7 @@ class MultiDomainRunner {
                 continue;
             }
             last_report_ = std::move(report);
-            if (mass_now) mass_baseline_ = mass;
+            if (track_mass) mass_baseline_ = mass;
             ++step_index_;
             retries = 0;
             if (snapshot_due) snap_.promote(step_index_, mass_baseline_);
@@ -625,7 +623,7 @@ class MultiDomainRunner {
         return e != nullptr && e[0] != '\0' && std::strcmp(e, "0") != 0;
     }
 
-    /// Watchdog scan of every rank, sampled/parallel per watchdog.hpp.
+    /// Watchdog scan of every rank (row-parallel, per watchdog.hpp).
     /// Each rank scans itself on its own task worker (against its private
     /// pool); findings merge in rank order, so the report is
     /// deterministic regardless of scheduling.

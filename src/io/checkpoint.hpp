@@ -37,14 +37,16 @@
 // stream verified, so a failed load leaves the destination state and
 // side-state bitwise untouched. The side-state section is
 // staged-then-committed even on the stream path. The stream loader's
-// field arrays read in place (it deserializes trusted in-memory snapshot
-// buffers on the resilience hot path, where the caller's state is
-// discarded on failure anyway).
+// field arrays read in place: every caller loads into a state it
+// discards on failure — a warm start's freshly built model
+// (server/ensemble.hpp) or the multi-rank loader's staged copies
+// (MultiDomainRunner::load_checkpoint). Rollback snapshots do not use
+// this format; they are raw array copies (resilience/snapshot.hpp).
 //
-// The serializer core is stream-based (save_state/load_state) so the
-// resilience layer can snapshot rank states into in-memory buffers for
-// rollback-and-replay and the forecast service can hold analysis blobs
-// in memory; save_checkpoint/load_checkpoint are file wrappers over it.
+// The serializer core is stream-based (save_state/load_state) so a
+// multi-rank checkpoint can carry one section per rank in a single
+// blob and the forecast service can hold analysis blobs in memory;
+// save_checkpoint/load_checkpoint are file wrappers over it.
 #pragma once
 
 #include <cstdint>

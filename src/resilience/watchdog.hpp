@@ -18,15 +18,11 @@
 //     applies this check to the rank-sum only.
 //
 // The scans read only interior cells between steps, so they need no
-// synchronization with the rank workers. Cell loops are slab-parallel on
-// the calling thread's ThreadPool (row-partitioned; the reported cell is
-// the traversal-minimum over all rows, so the result is independent of
-// pool width) and can be SAMPLED: scan every `sample_stride`-th cell of
-// each row with a per-row rotating offset, every `sample_period`-th
-// step, with a periodic exhaustive sweep every `full_sweep_period` steps
-// bounding the detection latency. Defaults are exhaustive (stride 1,
-// every step) — identical behavior and findings to the unsampled
-// watchdog.
+// synchronization with the rank workers. They visit every interior cell
+// each time they run; the cell loops are slab-parallel on the calling
+// thread's ThreadPool (row-partitioned; the reported cell is the
+// traversal-minimum over all rows, so the result is independent of pool
+// width).
 #pragma once
 
 #include <cmath>
@@ -50,29 +46,6 @@ struct WatchdogConfig {
     /// Relative total-mass drift threshold; <= 0 disables. Applied by
     /// the driver to the global (rank-summed) mass only.
     double mass_drift_tol = 0.0;
-
-    // --- sampling (all defaults exhaustive = PR 4 behavior) -----------
-    /// Scan every Nth cell of each (j,k) row, with a rotating offset
-    /// `(step + j + k) % stride` so consecutive scans cover different
-    /// cells. 1 = every cell.
-    Index sample_stride = 1;
-    /// Run the cell scans every Nth step only. 1 = every step. The
-    /// mass-drift check follows the same cadence.
-    long long sample_period = 1;
-    /// Every Nth step, scan exhaustively regardless of the stride —
-    /// this bounds the detection latency of a corruption the strided
-    /// scans keep missing. 0 = never force a full sweep.
-    long long full_sweep_period = 0;
-
-    /// Worst-case steps between a cell corruption and its detection
-    /// (assuming the corruption persists in the state). -1 = unbounded
-    /// (strided sampling with no periodic full sweep).
-    long long detection_bound() const {
-        if (sample_stride <= 1) {
-            return sample_period <= 1 ? 1 : sample_period;
-        }
-        return full_sweep_period > 0 ? full_sweep_period : -1;
-    }
 };
 
 /// One tripped check. `check` is a stable machine-readable tag:
@@ -134,39 +107,21 @@ class Watchdog {
 
     const WatchdogConfig& config() const { return cfg_; }
 
-    /// True when the cell scans (and the mass check) run at `step`.
-    bool scan_due(long long step) const {
-        return cfg_.sample_period <= 1 ||
-               step % cfg_.sample_period == 0 || full_sweep_due(step);
-    }
-
-    /// True when `step` is a periodic exhaustive sweep.
-    bool full_sweep_due(long long step) const {
-        return cfg_.full_sweep_period > 0 &&
-               step % cfg_.full_sweep_period == 0;
-    }
-
     /// Scan one rank's state, appending findings to `report`. Returns the
     /// number of findings added. Only the first bad cell per field is
     /// reported — "first" in the fixed j,k,i traversal order, chosen
     /// deterministically regardless of how the row-parallel scan was
     /// chunked: a blown-up field has thousands of bad cells and one
-    /// location is what a human needs. Returns 0 without scanning when
-    /// the sampling cadence says this step is not due.
+    /// location is what a human needs.
     int scan(const Grid<T>& grid, const State<T>& state, double dt,
              Index rank, long long step, HealthReport& report) const {
-        if (!scan_due(step)) return 0;
-        const Index stride = full_sweep_due(step) || cfg_.sample_stride <= 1
-                                 ? 1
-                                 : cfg_.sample_stride;
         long long cells = 0;
         int added = 0;
         if (cfg_.check_finite) {
-            added += scan_finite(state, rank, step, stride, report, cells);
+            added += scan_finite(state, rank, step, report, cells);
         }
         if (cfg_.cfl_limit > 0.0) {
-            added +=
-                scan_cfl(grid, state, dt, rank, step, stride, report, cells);
+            added += scan_cfl(grid, state, dt, rank, step, report, cells);
         }
         if (obs::metrics_enabled()) {
             static auto& scanned = obs::MetricsRegistry::global().counter(
@@ -219,33 +174,25 @@ class Watchdog {
         long long scanned = 0;
     };
 
-    /// The strided i-offset for row (j,k) at `step`: rotates every step
-    /// (and shears across rows) so repeated sampled scans visit
-    /// different cells instead of the same comb.
-    static Index row_offset(long long step, Index j, Index k, Index stride) {
-        return (static_cast<Index>(step % stride) + j + k) % stride;
-    }
-
     int scan_finite(const State<T>& state, Index rank, long long step,
-                    Index stride, HealthReport& report,
-                    long long& cells) const {
+                    HealthReport& report, long long& cells) const {
         int added = 0;
         auto ids = state.prognostic_ids();
         for (VarId id : ids) {
             const auto& a = state.field(id);
             if (scan_array(a, name_of(id, state.species), rank, step,
-                           stride, report, cells)) {
+                           report, cells)) {
                 ++added;
             }
         }
-        if (scan_array(state.p, "p", rank, step, stride, report, cells)) {
+        if (scan_array(state.p, "p", rank, step, report, cells)) {
             ++added;
         }
         return added;
     }
 
     bool scan_array(const Array3<T>& a, const std::string& name, Index rank,
-                    long long step, Index stride, HealthReport& report,
+                    long long step, HealthReport& report,
                     long long& cells) const {
         const Index ny = a.ny(), nz = a.nz(), nx = a.nx();
         std::vector<RowHit> rows(static_cast<std::size_t>(ny));
@@ -253,8 +200,7 @@ class Watchdog {
             for (Index j = jb; j < je; ++j) {
                 auto& row = rows[static_cast<std::size_t>(j)];
                 for (Index k = 0; k < nz && !row.hit; ++k) {
-                    const Index i0 = row_offset(step, j, k, stride);
-                    for (Index i = i0; i < nx; i += stride) {
+                    for (Index i = 0; i < nx; ++i) {
                         ++row.scanned;
                         const double v = static_cast<double>(a(i, j, k));
                         if (!std::isfinite(v)) {
@@ -294,8 +240,8 @@ class Watchdog {
     }
 
     int scan_cfl(const Grid<T>& grid, const State<T>& state, double dt,
-                 Index rank, long long step, Index stride,
-                 HealthReport& report, long long& cells) const {
+                 Index rank, long long step, HealthReport& report,
+                 long long& cells) const {
         const auto& dz = grid.dz_center();
         const Index ny = grid.ny(), nz = grid.nz(), nx = grid.nx();
         std::vector<RowHit> rows(static_cast<std::size_t>(ny));
@@ -303,8 +249,7 @@ class Watchdog {
             for (Index j = jb; j < je; ++j) {
                 auto& row = rows[static_cast<std::size_t>(j)];
                 for (Index k = 0; k < nz && !row.hit; ++k) {
-                    const Index i0 = row_offset(step, j, k, stride);
-                    for (Index i = i0; i < nx; i += stride) {
+                    for (Index i = 0; i < nx; ++i) {
                         ++row.scanned;
                         const double rho =
                             static_cast<double>(state.rho(i, j, k));

@@ -16,14 +16,13 @@
 //   * Admission control picks a degradation level BEFORE enqueueing: a
 //     loaded server sheds RESOLUTION (shorter horizon, then coarser
 //     grid — scenario.hpp's ladder), never requests. Only the opt-in
-//     shed_when_full policy ever rejects. The default policy is
-//     LATENCY-CALIBRATED: an EWMA of measured per-request service time
-//     turns the queue depth into an estimated wait, compared against
-//     admission_target_ms — so the ladder reacts to what this machine
-//     actually delivers, not to a depth heuristic tuned for some other
-//     hardware. Until the first completion calibrates the estimate (and
-//     under AdmissionPolicy::queue_depth, kept for A/B comparison) the
-//     classic depth watermarks decide.
+//     shed_when_full policy ever rejects. The one admission rule
+//     (admission_rule) is LATENCY-CALIBRATED: an EWMA of measured
+//     per-request service time turns the queue depth into an estimated
+//     wait, compared against admission_target_ms — so the ladder reacts
+//     to what this machine actually delivers, not to a depth heuristic
+//     tuned for some other hardware. Until the first completion
+//     calibrates the estimate, depth watermarks decide.
 //   * Deduplication: submissions canonicalize to a key; a key already
 //     pending or completed attaches the caller to the existing entry —
 //     one execution serves every duplicate (and completed entries keep
@@ -52,13 +51,14 @@
 //     falls back to the previous epoch instead of failing the request.
 //   * Durability: store_dir switches the checkpoint store to a
 //     DurableCheckpointStore (crash-safe atomic spills, checksum-
-//     verified reloads, epoch retention, LRU RAM cache); empty keeps
-//     the in-memory store. With a store_dir the server also keeps a
-//     durable RESULT cache (<store_dir>/results, wrapped-blob format):
-//     completed results spill as compact JSON keyed on canonical_key,
-//     and a RESTARTED server answers a repeat query from disk —
-//     served_from == "durable", fingerprint bitwise identical to the
-//     live run — without re-integrating anything.
+//     verified reloads, epoch retention, LRU RAM cache, all at the
+//     DurableStoreConfig defaults); empty keeps the in-memory store.
+//     With a store_dir the server also keeps a durable RESULT cache
+//     (<store_dir>/results, wrapped-blob format) unless it keeps
+//     states: completed results spill as compact JSON keyed on
+//     canonical_key, and a RESTARTED server answers a repeat query from
+//     disk — served_from == "durable", fingerprint bitwise identical to
+//     the live run — without re-integrating anything.
 //   * API: the entry point is the wire envelope —
 //     submit(wire::ForecastRequestV1) — shared with the out-of-process
 //     front-end (socket_server.hpp). Every failure carries a typed
@@ -104,11 +104,33 @@
 
 namespace asuca::server {
 
-/// How admission picks a degradation level (see the header comment).
-enum class AdmissionPolicy {
-    queue_depth,         ///< classic depth watermarks (cap/2, 3*cap/4)
-    latency_calibrated,  ///< estimated wait vs admission_target_ms
-};
+/// The degradation ladder's admission rule: the level a new admission
+/// runs at, given the queue `depth` out of `capacity`, the EWMA of
+/// measured per-request service time (0 until the first completion),
+/// the healthy worker count, the acceptable wait `target_ms` and the
+/// spec's `max_level`. Calibrated, the estimated wait is depth x EWMA /
+/// healthy workers: the horizon is shed from half of `target_ms`,
+/// resolution too from three quarters — a direct "will this answer
+/// arrive in time" test using MEASURED service times. Cold, the depth
+/// watermarks decide: level 1 from half the capacity, level 2 from
+/// three quarters. The result never exceeds `max_level`.
+inline int admission_rule(std::size_t depth, std::size_t capacity,
+                          double ewma_service_ms, std::size_t healthy_workers,
+                          double target_ms, int max_level) {
+    int level = 0;
+    if (ewma_service_ms > 0.0) {
+        const double workers = static_cast<double>(
+            std::max<std::size_t>(1, healthy_workers));
+        const double est_wait_ms =
+            static_cast<double>(depth) * ewma_service_ms / workers;
+        if (2.0 * est_wait_ms >= target_ms) level = 1;
+        if (4.0 * est_wait_ms >= 3.0 * target_ms) level = 2;
+    } else {
+        if (2 * depth >= capacity) level = 1;
+        if (4 * depth >= 3 * capacity) level = 2;
+    }
+    return std::min(level, max_level);
+}
 
 struct ServerConfig {
     std::size_t n_workers = 2;         ///< concurrent forecast executions
@@ -117,19 +139,8 @@ struct ServerConfig {
     bool keep_state = false;  ///< attach full final states to results
     /// Degradation ladder on admission (shed resolution under load).
     bool degrade_under_load = true;
-    /// Which signal drives the ladder. latency_calibrated compares the
-    /// estimated wait (queue depth x EWMA service time / healthy
-    /// workers) against admission_target_ms: level 1 from half the
-    /// target, level 2 from three quarters. Cold servers (no completed
-    /// request yet) fall back to the queue_depth watermarks.
-    AdmissionPolicy admission = AdmissionPolicy::latency_calibrated;
-    double admission_target_ms = 2000.0;  ///< acceptable estimated wait
-    double ewma_alpha = 0.2;  ///< EWMA weight of the newest sample
-    /// Spill completed results to <store_dir>/results and serve repeat
-    /// queries from disk across restarts. Needs store_dir; servers that
-    /// keep_state skip the durable path (a disk result has no state to
-    /// attach, and tests that demand states must get them).
-    bool durable_results = true;
+    /// Acceptable estimated wait of a new admission (admission_rule).
+    double admission_target_ms = 2000.0;
     /// Reject when the queue is full instead of blocking the submitter.
     /// OFF by default: the production policy is backpressure + degraded
     /// resolution, never dropped requests.
@@ -138,10 +149,12 @@ struct ServerConfig {
     bool cache_results = true;
     /// Durable checkpoint spill directory. Empty keeps the in-memory
     /// store; non-empty constructs a DurableCheckpointStore there
-    /// (atomic writes, verified reloads, epoch retention, LRU cache).
+    /// (atomic writes, verified reloads, epoch retention, LRU cache)
+    /// and spills completed results to <store_dir>/results, so repeat
+    /// queries are served from disk across restarts. Servers that
+    /// keep_state skip the result spill (a disk result has no state to
+    /// attach, and tests that demand states must get them).
     std::string store_dir;
-    std::size_t store_ram_entries = 8;  ///< durable store's LRU capacity
-    int store_keep_epochs = 2;          ///< durable epochs kept per name
     /// Retry ladder: re-dispatches tolerated per request after a fatal
     /// worker/runner fault before the request fails for the client.
     int max_request_retries = 2;
@@ -258,13 +271,10 @@ class ForecastServer {
             store_ = std::make_unique<CheckpointStore>();
         } else {
             store_ = std::make_unique<DurableCheckpointStore>(
-                DurableStoreConfig{cfg_.store_dir, cfg_.store_ram_entries,
-                                   cfg_.store_keep_epochs});
-            if (cfg_.durable_results && !cfg_.keep_state) {
+                DurableStoreConfig{cfg_.store_dir});
+            if (!cfg_.keep_state) {
                 results_ = std::make_unique<DurableCheckpointStore>(
-                    DurableStoreConfig{cfg_.store_dir + "/results",
-                                       cfg_.store_ram_entries,
-                                       cfg_.store_keep_epochs});
+                    DurableStoreConfig{cfg_.store_dir + "/results"});
             }
         }
         // One source of truth for server event counts: the always-on
@@ -528,41 +538,19 @@ class ForecastServer {
         }
         return ForecastHandle(std::move(entry), /*attached=*/false);
     }
-    /// The degradation ladder's admission rule. Latency-calibrated (the
-    /// default): estimate the wait a new admission faces as queue depth
-    /// x EWMA service time / healthy workers, and shed the horizon from
-    /// half of admission_target_ms, resolution from three quarters — a
-    /// direct "will this answer arrive in time" test using MEASURED
-    /// service times. Queue-depth (the pre-calibration policy, kept for
-    /// A/B and as the cold-start fallback): below half capacity run
-    /// full requests, between half and three-quarters shed the horizon,
-    /// above that shed resolution too (clamped to what the spec allows).
+    /// The degradation level of a new admission right now.
     int admission_level(const ScenarioSpec& spec) const {
         if (!cfg_.degrade_under_load) return 0;
-        const std::size_t depth = queue_.size();
-        const std::size_t cap = queue_.capacity();
-        const double ewma = ewma_service_ms();
-        int level = 0;
-        if (cfg_.admission == AdmissionPolicy::latency_calibrated &&
-            ewma > 0.0) {
-            const double workers = static_cast<double>(
-                std::max<std::size_t>(1, healthy_workers()));
-            const double est_wait_ms =
-                static_cast<double>(depth) * ewma / workers;
-            if (2.0 * est_wait_ms >= cfg_.admission_target_ms) level = 1;
-            if (4.0 * est_wait_ms >= 3.0 * cfg_.admission_target_ms) {
-                level = 2;
-            }
-        } else {
-            if (2 * depth >= cap) level = 1;
-            if (4 * depth >= 3 * cap) level = 2;
-        }
-        return std::min(level, max_degrade_level(spec));
+        return admission_rule(queue_.size(), queue_.capacity(),
+                              ewma_service_ms(), healthy_workers(),
+                              cfg_.admission_target_ms,
+                              max_degrade_level(spec));
     }
 
     /// Fold one measured service time into the admission EWMA (bitwise
     /// CAS on double bits; the first sample seeds the estimate).
     void observe_service_ms(double ms) {
+        constexpr double kAlpha = 0.2;  // weight of the newest sample
         if (!(ms > 0.0)) return;
         std::uint64_t expected =
             ewma_bits_.load(std::memory_order_relaxed);
@@ -570,9 +558,7 @@ class ForecastServer {
             double cur;
             std::memcpy(&cur, &expected, sizeof(cur));
             const double next =
-                cur == 0.0 ? ms
-                           : cfg_.ewma_alpha * ms +
-                                 (1.0 - cfg_.ewma_alpha) * cur;
+                cur == 0.0 ? ms : kAlpha * ms + (1.0 - kAlpha) * cur;
             std::uint64_t bits;
             std::memcpy(&bits, &next, sizeof(bits));
             if (ewma_bits_.compare_exchange_weak(
@@ -839,7 +825,7 @@ class ForecastServer {
     RequestQueue<std::shared_ptr<detail::Entry>> queue_;
     std::unique_ptr<CheckpointStore> store_;
     /// Durable RESULT cache (wrapped-blob JSON keyed on canonical_key);
-    /// nullptr without store_dir / durable_results / with keep_state.
+    /// nullptr without store_dir or with keep_state.
     std::unique_ptr<DurableCheckpointStore> results_;
     resilience::FaultInjector injector_;
     std::mutex injector_mutex_;  ///< unlike rank hooks, workers race here

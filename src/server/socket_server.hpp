@@ -26,6 +26,11 @@
 //     flight per connection. Concurrency comes from the BACKEND (the
 //     bounded queue and worker pool) and from clients opening more
 //     connections — the front-end stays dumb enough to reason about.
+//   * A connection's resources end with it: its reader closes its own
+//     descriptor on exit and the accept loop joins finished readers on
+//     its next wake-up, so a long-lived server holds descriptors only
+//     for live connections. Running out of descriptors (EMFILE/ENFILE)
+//     pauses accepting briefly instead of ending it.
 //   * Loopback-oriented: binds 127.0.0.1 by default, numeric addresses
 //     only (no resolver). This is a service front-end for tests, the
 //     example driver and benches — not an internet-facing daemon.
@@ -41,9 +46,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -197,22 +206,23 @@ class SocketServer {
             // writable, so every pending reply can be delivered.
             core_->shutdown();
             {
+                // Only live connections: a finished reader has closed
+                // its descriptor, and the number may be reused by now.
                 std::lock_guard lock(conn_mutex_);
                 for (const auto& c : conns_) {
-                    ::shutdown(c->fd, SHUT_RDWR);  // unblock recv()
+                    if (c->fd >= 0) ::shutdown(c->fd, SHUT_RDWR);
                 }
             }
-            for (const auto& c : conns_) {
-                if (c->thread.joinable()) c->thread.join();
-                ::close(c->fd);
-            }
+            // Readers take conn_mutex_ to close their descriptor, so
+            // join them without holding it.
+            for (const auto& c : conns_) c->thread.join();
             ::close(listen_fd_);
         });
     }
 
   private:
     struct Conn {
-        int fd = -1;
+        int fd = -1;  ///< -1 once the reader closed it (conn_mutex_)
         std::thread thread;
     };
 
@@ -220,7 +230,20 @@ class SocketServer {
         obs::name_this_thread("socket accept");
         for (;;) {
             const int fd = ::accept(listen_fd_, nullptr, nullptr);
-            if (fd < 0) break;  // listener shut down (or fatal): drain
+            const int err = errno;
+            reap_finished_conns();
+            if (fd < 0) {
+                if (stop_started_.load(std::memory_order_acquire)) break;
+                if (err == EINTR || err == ECONNABORTED) continue;
+                if (err == EMFILE || err == ENFILE) {
+                    // Out of descriptors: the pending connection waits
+                    // in the backlog until a reader releases one.
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(10));
+                    continue;
+                }
+                break;  // listener shut down (or fatal): drain
+            }
             const int one = 1;
             ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
             if (stop_started_.load(std::memory_order_acquire)) {
@@ -236,15 +259,40 @@ class SocketServer {
         }
     }
 
+    /// Join and drop the connections whose reader has exited. Only the
+    /// accept thread adds to or removes from conns_ until stop() joins
+    /// it, so the pointers stop() walks stay valid.
+    void reap_finished_conns() {
+        std::vector<std::unique_ptr<Conn>> finished;
+        {
+            std::lock_guard lock(conn_mutex_);
+            const auto done = std::partition(
+                conns_.begin(), conns_.end(),
+                [](const std::unique_ptr<Conn>& c) { return c->fd >= 0; });
+            std::move(done, conns_.end(), std::back_inserter(finished));
+            conns_.erase(done, conns_.end());
+        }
+        for (const auto& c : finished) c->thread.join();
+    }
+
     void serve_conn(Conn* conn) {
         obs::name_this_thread("socket conn");
+        serve_frames(conn->fd);
+        std::lock_guard lock(conn_mutex_);
+        ::close(conn->fd);
+        conn->fd = -1;
+    }
+
+    /// Read and answer frames until EOF, an error, an oversized frame or
+    /// a shutdown frame ends the connection.
+    void serve_frames(int fd) {
         std::string buffer, line;
         for (;;) {
             bool overflow = false;
-            if (!net_detail::recv_line(conn->fd, buffer, line,
+            if (!net_detail::recv_line(fd, buffer, line,
                                        cfg_.max_frame_bytes, overflow)) {
                 if (overflow) {
-                    reply(conn->fd,
+                    reply(fd,
                           wire::error_response(
                               0, ErrorCode::bad_request,
                               "frame exceeds " +
@@ -254,7 +302,7 @@ class SocketServer {
                 return;  // EOF, error or oversized frame: drop the conn
             }
             if (line.empty()) continue;
-            if (!handle_frame(conn->fd, line)) return;
+            if (!handle_frame(fd, line)) return;
         }
     }
 

@@ -696,72 +696,13 @@ TEST(ResilienceChannel, DeferredVerifyPassesCleanMessages) {
 }
 
 // ---------------------------------------------------------------------
-// Sampled watchdog (unit level).
+// Watchdog scan (unit level).
 // ---------------------------------------------------------------------
-
-// With stride S the scan of row (j,k) starts at (step + j + k) % S, so
-// a single bad cell at interior i is seen exactly when
-// step ≡ (i - j - k) (mod S). The rotation guarantees every cell is
-// visited within S scans even without a full sweep.
-TEST(WatchdogSampled, StridedScanRotatesAcrossSteps) {
-    GridSpec spec = make_global();
-    Grid<double> grid(spec);
-    State<double> state(grid, SpeciesSet::dry());
-    state.rho.fill(1.0);
-    state.rhotheta.fill(300.0);
-    state.p.fill(1.0e5);
-    state.rhotheta(5, 0, 0) = std::numeric_limits<double>::quiet_NaN();
-
-    resilience::WatchdogConfig cfg;
-    cfg.sample_stride = 4;
-    cfg.full_sweep_period = 8;
-    EXPECT_EQ(cfg.detection_bound(), 8);
-    resilience::Watchdog<double> dog(cfg);
-    for (long long step = 1; step <= 8; ++step) {
-        resilience::HealthReport report;
-        const int found = dog.scan(grid, state, 4.0, 0, step, report);
-        // i=5, j=0, k=0: strided hit iff step % 4 == 1; step 8 is the
-        // periodic exhaustive sweep and must hit regardless.
-        const bool expect_hit = (step % 4 == 1) || (step % 8 == 0);
-        EXPECT_EQ(found, expect_hit ? 1 : 0) << "step " << step;
-        if (expect_hit) {
-            const auto* f = report.first("nonfinite");
-            ASSERT_NE(f, nullptr);
-            EXPECT_EQ(f->i, 5);
-            EXPECT_EQ(f->j, 0);
-            EXPECT_EQ(f->k, 0);
-        }
-    }
-}
-
-TEST(WatchdogSampled, SamplePeriodGatesScanCadence) {
-    GridSpec spec = make_global();
-    Grid<double> grid(spec);
-    State<double> state(grid, SpeciesSet::dry());
-    state.rho.fill(1.0);
-    state.rhotheta.fill(300.0);
-    state.p.fill(1.0e5);
-    state.rho(2, 2, 2) = std::numeric_limits<double>::quiet_NaN();
-
-    resilience::WatchdogConfig cfg;
-    cfg.sample_period = 3;
-    EXPECT_EQ(cfg.detection_bound(), 3);
-    resilience::Watchdog<double> dog(cfg);
-    EXPECT_FALSE(dog.scan_due(1));
-    EXPECT_FALSE(dog.scan_due(2));
-    EXPECT_TRUE(dog.scan_due(3));
-    resilience::HealthReport off_report;
-    EXPECT_EQ(dog.scan(grid, state, 4.0, 0, 1, off_report), 0);
-    EXPECT_TRUE(off_report.healthy());
-    resilience::HealthReport on_report;
-    EXPECT_EQ(dog.scan(grid, state, 4.0, 0, 3, on_report), 1);
-    EXPECT_TRUE(on_report.has("nonfinite"));
-}
 
 // The row-parallel scan must report the same "first" bad cell (fixed
 // j,k,i traversal order) no matter how the rows were chunked over
 // threads.
-TEST(WatchdogSampled, ParallelScanFindingIsDeterministic) {
+TEST(WatchdogScan, ParallelScanFindingIsDeterministic) {
     GridSpec spec = make_global();
     Grid<double> grid(spec);
     State<double> state(grid, SpeciesSet::dry());
@@ -868,16 +809,17 @@ TEST(ResilienceSnapshot, ManualRestoreRequiresResilience) {
 }
 
 // ---------------------------------------------------------------------
-// Sampled watchdog + rollback snapshots end to end.
+// Late detection + rollback snapshots end to end.
 // ---------------------------------------------------------------------
 
-// A strided watchdog may miss a fresh single-cell corruption; the NaN
-// then spreads through the next step's stencils and implicit solves,
-// the following scan catches it, and rollback lands on the last clean
-// snapshot (each rank stages its copy before injected faults land).
-// The recovered trajectory must still equal a clean run
-// bitwise, and detection must stay within the configured bound.
-TEST(ResilienceRecovery, SampledWatchdogRecoversBitwiseWithinBound) {
+// A fault the watchdog cannot see in its own step: flipping the top
+// exponent bit of a small nonzero rhow multiplies it by 2^1024, which
+// stays finite (~1e307), so the injection step commits and promotes its
+// rollback round. The next step's stencils overflow it to Inf/NaN, the
+// scan catches that, and rollback must land on the round promoted at
+// the injection step — clean, because each rank staged its copy before
+// the fault landed — and replay to a run bitwise equal to a clean one.
+TEST(ResilienceRecovery, LateDetectedBitFlipRollsBackToTheInjectionStepRound) {
     const auto spec = make_global();
     const auto cfg = make_stepper_cfg();
     const auto species = SpeciesSet::dry();
@@ -886,31 +828,36 @@ TEST(ResilienceRecovery, SampledWatchdogRecoversBitwiseWithinBound) {
     init_case(grid, species, initial);
 
     State<double> ref(grid, species);
+    double flipped_value = 0.0;
     {
         MultiDomainRunner<double> clean(spec, 2, 2, species, cfg,
                                         resilient_config());
         clean.scatter(initial);
-        clean.advance(5);
+        clean.advance(3);
+        flipped_value = clean.rank_state(1).rhow(4, 2, 3);
+        clean.advance(2);
         clean.gather(ref);
     }
+    // The premise: the value the fault flips (rank 1's rhow after step
+    // index 2) is nonzero and small enough that the flipped value stays
+    // finite.
+    ASSERT_NE(flipped_value, 0.0);
+    ASSERT_TRUE(std::isfinite(std::ldexp(flipped_value, 1024)));
 
     FaultPlan plan;
-    plan.push_back({FaultKind::FieldNaN, 2, 1, VarId::RhoTheta, 4, 2, 3, {}});
-    auto md = resilient_config(plan);
-    md.resilience.watchdog.sample_stride = 4;
-    md.resilience.watchdog.full_sweep_period = 4;
-    ASSERT_EQ(md.resilience.watchdog.detection_bound(), 4);
-    MultiDomainRunner<double> runner(spec, 2, 2, species, cfg, md);
+    plan.push_back({FaultKind::FieldBitFlip, 1, 2, VarId::RhoW, 4, 2, 3, {}});
+    MultiDomainRunner<double> runner(spec, 2, 2, species, cfg,
+                                     resilient_config(plan));
     runner.scatter(initial);
     runner.advance(5);
 
-    // Injected at step 1; the strided scan at step 1 starts row
-    // (j=2,k=3) at offset (1+2+3)%4 = 2 and steps by 4, so cell i=4 is
-    // missed. By step 2 the NaN has spread wide enough for the strided
-    // scan; rollback to the clean step-2 snapshot, replay bitwise.
-    EXPECT_NE(runner.recovery_log().find("rollback to step 2"),
-              std::string::npos);
-    EXPECT_NE(runner.recovery_log().find("nonfinite"), std::string::npos);
+    EXPECT_EQ(runner.injector().fired_count(), 1);
+    const std::string& log = runner.recovery_log();
+    EXPECT_NE(log.find("field_bitflip rank 1 step 2"), std::string::npos);
+    EXPECT_NE(log.find("rollback to step 3 (watchdog: nonfinite)"),
+              std::string::npos)
+        << log;
+    EXPECT_EQ(log.find("rollback to step 2"), std::string::npos) << log;
     EXPECT_EQ(runner.step_index(), 5);
     State<double> got(grid, species);
     runner.gather(got);

@@ -268,6 +268,53 @@ TEST(ServerScenario, DegradationLadderShedsHorizonThenResolution) {
     EXPECT_EQ(apply_degradation(t, 2).steps, 4);
 }
 
+// The one admission rule, as a table: depth watermarks while the server
+// is cold, then the estimated wait (depth x EWMA / healthy workers)
+// against the target, always clamped to the spec's ladder.
+TEST(ServerAdmission, RuleTable) {
+    struct Row {
+        std::size_t depth, capacity;
+        double ewma_ms;
+        std::size_t healthy;
+        double target_ms;
+        int max_level, expected;
+        const char* why;
+    };
+    const Row rows[] = {
+        // Cold (no completion yet): level 1 from cap/2, 2 from 3cap/4;
+        // the target plays no part.
+        {0, 8, 0.0, 2, 2000.0, 2, 0, "cold, empty"},
+        {3, 8, 0.0, 2, 2000.0, 2, 0, "cold, below cap/2"},
+        {4, 8, 0.0, 2, 2000.0, 2, 1, "cold, at cap/2"},
+        {5, 8, 0.0, 2, 1.0, 2, 1, "cold, a tiny target is not read"},
+        {6, 8, 0.0, 2, 2000.0, 2, 2, "cold, at 3cap/4"},
+        {8, 8, 0.0, 2, 2000.0, 2, 2, "cold, full"},
+        // Calibrated: wait = depth x 250 ms on one worker; level 1 from
+        // half the 1000 ms target, level 2 from three quarters, where
+        // the depth watermarks would still say 0.
+        {1, 8, 250.0, 1, 1000.0, 2, 0, "wait 250 < 500"},
+        {2, 8, 249.0, 1, 1000.0, 2, 0, "wait 498 < 500"},
+        {2, 8, 250.0, 1, 1000.0, 2, 1, "wait 500 = target/2"},
+        {3, 8, 249.0, 1, 1000.0, 2, 1, "wait 747 < 750"},
+        {3, 8, 250.0, 1, 1000.0, 2, 2, "wait 750 = 3 target/4"},
+        {6, 8, 10.0, 1, 1000.0, 2, 0, "fast requests: a deep queue is fine"},
+        // Quarantined workers raise the estimate (4 slots, depth 4).
+        {4, 8, 250.0, 4, 1000.0, 2, 0, "4 healthy: wait 250"},
+        {4, 8, 250.0, 2, 1000.0, 2, 1, "2 healthy: wait 500"},
+        {4, 8, 250.0, 1, 1000.0, 2, 2, "1 healthy: wait 1000"},
+        {2, 8, 250.0, 0, 1000.0, 2, 1, "none healthy counts as one"},
+        // The spec's ladder clamps the level.
+        {8, 8, 0.0, 2, 2000.0, 1, 1, "cold full, grid cannot coarsen"},
+        {3, 8, 250.0, 1, 1000.0, 1, 1, "calibrated, grid cannot coarsen"},
+    };
+    for (const Row& r : rows) {
+        EXPECT_EQ(admission_rule(r.depth, r.capacity, r.ewma_ms, r.healthy,
+                                 r.target_ms, r.max_level),
+                  r.expected)
+            << r.why;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Submission, deduplication, error paths.
 // ---------------------------------------------------------------------

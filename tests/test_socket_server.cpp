@@ -14,8 +14,11 @@
 //     query from the durable result cache, bitwise identical, without
 //     re-integrating.
 //   * The shutdown frame acks, drains gracefully, and wait() returns.
+//   * A closed connection gives back its descriptor: a long-lived server
+//     does not creep toward the descriptor limit.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -222,6 +225,40 @@ TEST(SocketServer, RestartServesRepeatQueryFromDurableCacheBitwise) {
         EXPECT_EQ(server.core().stats().completed, 0u)
             << "the durable hit must not have executed anything";
     }
+}
+
+/// Descriptors this process holds right now.
+std::size_t open_fd_count() {
+    std::size_t n = 0;
+    for (const auto& entry : fs::directory_iterator("/proc/self/fd")) {
+        (void)entry;
+        ++n;
+    }
+    return n;
+}
+
+TEST(SocketServer, ClosedConnectionsReleaseTheirDescriptors) {
+    SocketServer server(loopback_config());
+    const std::size_t before = open_fd_count();
+    for (int n = 0; n < 64; ++n) {
+        ForecastClient client("127.0.0.1", server.port());
+        ASSERT_EQ(client.stats().at("type").as_string(), "stats");
+    }
+    // Each reader closes its descriptor when it reads the client's EOF,
+    // a moment after the client closed: give the last ones time.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    std::size_t after = open_fd_count();
+    while (after > before + 2 &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        after = open_fd_count();
+    }
+    EXPECT_LE(after, before + 2)
+        << "64 closed connections left " << after - before
+        << " descriptors open";
+    ForecastClient client("127.0.0.1", server.port());
+    EXPECT_EQ(client.stats().at("type").as_string(), "stats");
 }
 
 TEST(SocketServer, ShutdownFrameAcksThenDrains) {
