@@ -29,26 +29,26 @@ int main() {
                 "(GT200 serializes strided warps)\n",
                 zxy.seconds / xzy.seconds);
 
-    // Real measured whole-step A/B on the running host: layout x batch
-    // width (one column per sweep vs the auto W-column sweep, both with
-    // the layout-aware kernels). The batched sweep leans on i-inner
-    // unit-stride, so its gain and the layout's interact — hence the
-    // full 2x2.
+    // Real measured whole-step A/B on the running host: the same lane
+    // kernels with unit-stride loads (xzy) and strided lane gathers
+    // (kij). Each cell is the median of 5 interleaved 2-step windows.
     const Int3 host_mesh{64, 32, 48};
-    const double t_xzy = measure_host_seconds_per_step(host_mesh, 2);
-    const double t_zxy =
-        measure_host_seconds_per_step(host_mesh, 2, 0, Layout::ZXY);
-    const double t_xzy_w1 = measure_host_seconds_per_step(host_mesh, 2, 1);
-    const double t_zxy_w1 =
-        measure_host_seconds_per_step(host_mesh, 2, 1, Layout::ZXY);
-    std::printf("\n  measured host step [ms]     %10s %10s\n", "W=1",
-                "batched");
-    std::printf("  xzy layout                  %10.1f %10.1f\n",
-                t_xzy_w1 * 1e3, t_xzy * 1e3);
-    std::printf("  kij layout                  %10.1f %10.1f\n",
-                t_zxy_w1 * 1e3, t_zxy * 1e3);
-    std::printf("  layout ratio (batched):     %10.2fx\n", t_zxy / t_xzy);
-    std::printf("  width ratio (xzy):          %10.2fx\n", t_xzy_w1 / t_xzy);
+    const int steps = 2;
+    const auto xzy_model = make_host_model(host_mesh);
+    const auto kij_model = make_host_model(host_mesh, Layout::ZXY);
+    const auto cells = time_interleaved(
+        {[&] { xzy_model->run(steps); }, [&] { kij_model->run(steps); }});
+    std::printf("\n  measured host step [ms]     %10s %10s %10s\n", "median",
+                "min", "max");
+    const char* labels[] = {"xzy layout", "kij layout"};
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        std::printf("  %-27s %10.1f %10.1f %10.1f\n", labels[c],
+                    1e3 * cells[c].median() / steps,
+                    1e3 * cells[c].min() / steps,
+                    1e3 * cells[c].max() / steps);
+    }
+    std::printf("  layout ratio (kij / xzy):   %10.2fx\n",
+                cells[1].median() / cells[0].median());
     note("paper: kij is the CPU-friendly order for z-marching Fortran;");
     note("the GPU port must use xzy or lose close to an order of magnitude.");
     return 0;

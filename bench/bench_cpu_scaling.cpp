@@ -32,13 +32,10 @@ struct RunResult {
 };
 
 /// Time `steps` long steps of the benchmark configuration at `mesh` with
-/// the global pool set to `threads` and the acoustic column-batch width
-/// forced to `column_batch` (0 = auto, W = W columns per sweep), returning
-/// per-step kernel records.
-RunResult run_at(Int3 mesh, std::size_t threads, int steps,
-                 Index column_batch = 0) {
+/// the global pool set to `threads`, returning per-step kernel records.
+RunResult run_at(Int3 mesh, std::size_t threads, int steps) {
     ThreadPool::set_global_threads(threads);
-    const auto model = make_host_model(mesh, column_batch);
+    const auto model = make_host_model(mesh);
 
     auto& reg = KernelRegistry::global();
     reg.reset();
@@ -97,33 +94,7 @@ int main(int argc, char** argv) {
                     100.0 * sp / static_cast<double>(r.threads));
     }
 
-    // Column-batch A/B at max threads: the same batched sweep at one
-    // column per sweep (column_batch = 1, nothing to vectorize across) vs
-    // the auto width the sweep above used. The batched numbers are reused
-    // from the thread sweep so the A/B and the scaling table describe the
-    // same run.
-    const Index batch_w = resolve_column_batch<double>(0);
-    const RunResult w1_run = run_at(mesh, sweep.back(), steps, 1);
     const auto& best = results.back();
-    auto kernel_seconds = [](const RunResult& r, const std::string& name) {
-        for (const auto& k : r.kernels)
-            if (k.name == name) return k.seconds;
-        return 0.0;
-    };
-    std::printf("\n  column-batch A/B at %zu thread%s (W = %lld):\n",
-                best.threads, best.threads == 1 ? "" : "s",
-                static_cast<long long>(batch_w));
-    std::printf("%-26s %14s %14s %10s\n", "", "W=1 [ms]", "batched [ms]",
-                "speedup");
-    auto ab_row = [&](const std::string& name, double s, double b) {
-        std::printf("%-26s %14.3f %14.3f %9.2fx\n", name.c_str(), 1e3 * s,
-                    1e3 * b, b > 0 ? s / b : 0.0);
-    };
-    ab_row("whole step", w1_run.seconds_per_step, best.seconds_per_step);
-    for (const char* name : {"helmholtz_1d", "theta_update_half"})
-        ab_row(name, kernel_seconds(w1_run, name),
-               kernel_seconds(best, name));
-
     // Per-kernel measured time at max threads vs the roofline model on
     // the paper's baseline core (Opteron, double precision, kij layout).
     // Per-kernel FLOPs come from the CountingReal calibration run scaled
@@ -170,6 +141,7 @@ int main(int argc, char** argv) {
                           io::JsonValue(static_cast<long long>(mesh.z))});
     doc.set("timed_steps", steps);
     doc.set("hardware_threads", static_cast<long long>(hw));
+    doc.set("lane_width", static_cast<long long>(simd_lanes<double>()));
     io::JsonArray runs;
     for (const auto& r : results) {
         io::JsonValue row;
@@ -179,18 +151,6 @@ int main(int argc, char** argv) {
         runs.push_back(std::move(row));
     }
     doc.set("runs", std::move(runs));
-    io::JsonValue ab;
-    ab.set("threads", static_cast<long long>(best.threads));
-    ab.set("column_batch_width", static_cast<long long>(batch_w));
-    ab.set("w1_seconds_per_step", w1_run.seconds_per_step);
-    ab.set("batched_seconds_per_step", best.seconds_per_step);
-    ab.set("w1_helmholtz_seconds", kernel_seconds(w1_run, "helmholtz_1d"));
-    ab.set("batched_helmholtz_seconds", kernel_seconds(best, "helmholtz_1d"));
-    ab.set("w1_theta_half_seconds",
-           kernel_seconds(w1_run, "theta_update_half"));
-    ab.set("batched_theta_half_seconds",
-           kernel_seconds(best, "theta_update_half"));
-    doc.set("column_batch_ab", std::move(ab));
     io::JsonArray ks;
     for (const auto& k : kernels) {
         io::JsonValue row;

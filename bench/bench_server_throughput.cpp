@@ -132,12 +132,16 @@ int main(int argc, char** argv) {
     bench::title("Forecast-service throughput under offered load");
 
     // Calibrate one request's execution cost, then offer load at the
-    // service capacity (1x = workers / cost) and at twice it (2x).
-    const auto cal0 = Clock::now();
-    run_forecast(canonicalize(bench_spec(requests / 2)), nullptr, false);
-    const double cost_ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - cal0)
-            .count();
+    // service capacity (1x = workers / cost) and at twice it (2x). The
+    // cost is the median of 5 calls after one discarded warm-up call (a
+    // cold first call read up to 1.5x the warm cost).
+    const auto calibration = bench::time_interleaved(
+        {[&] {
+            run_forecast(canonicalize(bench_spec(requests / 2)), nullptr,
+                         false);
+        }},
+        5, 1)[0];
+    const double cost_ms = 1e3 * calibration.median();
     const double capacity_rps = 1000.0 * workers / cost_ms;
     std::printf("  one request ~%.1f ms -> capacity ~%.1f req/s "
                 "on %d workers\n",
@@ -206,6 +210,10 @@ int main(int argc, char** argv) {
     doc.set("requests_per_phase", requests);
     doc.set("queue_capacity", 4);
     doc.set("calibrated_request_ms", cost_ms);
+    io::JsonArray calibration_ms;
+    for (const double sec : calibration.seconds)
+        calibration_ms.push_back(io::JsonValue(1e3 * sec));
+    doc.set("calibration_ms", std::move(calibration_ms));
     doc.set("admission_target_ms", cost_ms);
     doc.set("capacity_rps", capacity_rps);
     doc.set("hardware_threads",

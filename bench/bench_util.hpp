@@ -6,9 +6,12 @@
 // benches no longer hand-concatenate JSON strings).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/common/timer.hpp"
 #include "src/core/model.hpp"
@@ -50,10 +53,9 @@ inline gpusim::StepEstimate model_step_at(const gpusim::RooflineModel& model,
 /// + warm rain) in double precision on `mesh`, with a moist lower
 /// troposphere so the Kessler pass has cloud to make, ready to time:
 /// initialized, boundary-filled and one untimed step taken (the first
-/// step touches cold memory). `column_batch` forces the acoustic
-/// sweep's width (0 = auto); `layout` picks the array ordering.
+/// step touches cold memory). `layout` picks the array ordering.
 inline std::unique_ptr<AsucaModel<double>> make_host_model(
-    Int3 mesh, Index column_batch = 0, Layout layout = Layout::XZY) {
+    Int3 mesh, Layout layout = Layout::XZY) {
     ModelConfig<double> cfg;
     const auto ref = benchmark_model_config();
     cfg.grid = ref.grid;
@@ -62,7 +64,6 @@ inline std::unique_ptr<AsucaModel<double>> make_host_model(
     cfg.grid.nz = mesh.z;
     cfg.grid.layout = layout;
     cfg.stepper = ref.stepper;
-    cfg.stepper.acoustic.column_batch = column_batch;
     cfg.kessler = ref.kessler;
     cfg.microphysics = ref.microphysics;
     cfg.species = ref.species;
@@ -78,15 +79,53 @@ inline std::unique_ptr<AsucaModel<double>> make_host_model(
 
 /// Run the host model (make_host_model) for `steps` long steps on this
 /// host and return measured wall seconds per step.
-inline double measure_host_seconds_per_step(Int3 mesh, int steps = 1,
-                                            Index column_batch = 0,
-                                            Layout layout = Layout::XZY) {
-    const auto model = make_host_model(mesh, column_batch, layout);
+inline double measure_host_seconds_per_step(Int3 mesh, int steps = 1) {
+    const auto model = make_host_model(mesh);
     Timer t;
     t.start();
     model->run(steps);
     t.stop();
     return t.seconds() / steps;
+}
+
+/// Wall seconds of every repetition of one timed bench cell.
+struct CellTiming {
+    std::vector<double> seconds;  ///< one entry per repetition, in run order
+
+    double min() const {
+        return *std::min_element(seconds.begin(), seconds.end());
+    }
+    double max() const {
+        return *std::max_element(seconds.begin(), seconds.end());
+    }
+    double median() const {
+        std::vector<double> s = seconds;
+        std::sort(s.begin(), s.end());
+        const std::size_t n = s.size();
+        return n % 2 == 1 ? s[n / 2] : 0.5 * (s[n / 2 - 1] + s[n / 2]);
+    }
+};
+
+/// Time each of `cells` `reps` times, interleaved (every cell once, then
+/// every cell again, ...), after `warmup` untimed calls of each, so a
+/// slow host window lands on all cells alike instead of inverting their
+/// ratio. Returns one CellTiming per cell, in order.
+inline std::vector<CellTiming> time_interleaved(
+    const std::vector<std::function<void()>>& cells, int reps = 5,
+    int warmup = 1) {
+    for (int w = 0; w < warmup; ++w)
+        for (const auto& cell : cells) cell();
+    std::vector<CellTiming> out(cells.size());
+    for (int r = 0; r < reps; ++r) {
+        for (std::size_t c = 0; c < cells.size(); ++c) {
+            Timer t;
+            t.start();
+            cells[c]();
+            t.stop();
+            out[c].seconds.push_back(t.seconds());
+        }
+    }
+    return out;
 }
 
 /// The decomposed benches' case on a `mesh` global grid: a 350 m bell

@@ -50,16 +50,6 @@ struct AcousticConfig {
     /// bitwise identical either way (asserted by the overlap tests); the
     /// fused pass reads the shared dw/dv3 operands once.
     bool fuse_density_theta = false;
-    /// Column-batch width of the vertical implicit solve (the CPU analogue
-    /// of the paper's kij->xzy layout change, Sec. IV-A-1): W columns are
-    /// swept simultaneously with the column index innermost and
-    /// unit-stride, so the Thomas recurrences auto-vectorize.
-    ///   0   — auto: the SIMD default (field/simd.hpp);
-    ///   W>0 — exactly W columns per sweep (W=1 marches one column at a
-    ///         time through the same code).
-    /// Every width produces bitwise-identical results on default builds
-    /// (each lane runs the same op sequence; see DESIGN.md).
-    Index column_batch = 0;
 };
 
 template <class T>
@@ -90,15 +80,11 @@ class AcousticStepper {
                   grid.layout()),
           cv3_(center_shape(grid), grid.halo(), grid.layout()),
           rv3_(center_shape(grid), grid.halo(), grid.layout()),
-          dv3_(center_shape(grid), grid.halo(), grid.layout()),
-          batch_w_(resolve_column_batch<T>(config.column_batch)) {
+          dv3_(center_shape(grid), grid.halo(), grid.layout()) {
         ASUCA_REQUIRE(config.beta >= 0.5 && config.beta <= 1.0,
                       "acoustic beta must be in [0.5, 1], got "
                           << config.beta);
     }
-
-    /// Resolved column-batch width (config value or SIMD default).
-    Index column_batch_width() const { return batch_w_; }
 
     /// Freeze the linearization coefficients at the RK-stage state.
     void prepare(const State<T>& bar) {
@@ -280,18 +266,18 @@ class AcousticStepper {
         const auto& zy = grid_.slope_y_zface();
         const T half_dtau = T(0.5 * dtau);
 
+        const Layout layout = grid_.layout();
+
         {
             KernelScope scope("theta_update_half",
                               {/*reads=*/10, /*writes=*/1, 14},
                               static_cast<std::uint64_t>(
                                   (i1 - i0) * (j1 - j0) * nz));
             parallel_for_range(j0, j1, [&](Index jb, Index je) {
-            // Rolling buffers of the vertical deviation flux (J rho u3)' at
-            // the two faces bracketing level k (zero at the bottom/top
-            // faces), computed once per face instead of twice per cell.
-            // The inner i loops are unit-stride under Layout::XZY and carry
-            // no branches, so they auto-vectorize; per-cell arithmetic is
-            // unchanged, hence bitwise identical to the unbuffered form.
+            // Rolling row buffers of the vertical deviation flux
+            // (J rho u3)' at the two faces bracketing level k (zero at the
+            // bottom/top faces), computed once per face instead of twice
+            // per cell; per-cell arithmetic is unchanged.
             const auto wi = static_cast<std::size_t>(i1 - i0);
             std::vector<T> fz_lo(wi), fz_hi(wi);
             for (Index j = jb; j < je; ++j) {
@@ -302,40 +288,49 @@ class AcousticStepper {
                     if (kf >= nz) {
                         std::fill(fz_hi.begin(), fz_hi.end(), T(0));
                     } else {
-                        for (Index i = i0; i < i1; ++i) {
-                            const T ru =
-                                T(0.25) *
-                                (du_(i, j, kf - 1) + du_(i + 1, j, kf - 1) +
-                                 du_(i, j, kf) + du_(i + 1, j, kf));
-                            const T rv =
-                                T(0.25) *
-                                (dv_(i, j, kf - 1) + dv_(i, j + 1, kf - 1) +
-                                 dv_(i, j, kf) + dv_(i, j + 1, kf));
-                            fz_hi[static_cast<std::size_t>(i - i0)] =
-                                dw_(i, j, kf) - ru * zx(i, j, kf) -
-                                rv * zy(i, j, kf);
-                        }
+                        for_each_lane_chunk<T>(layout, i0, i1, [&](auto io,
+                                                                   Index i) {
+                            const auto ru =
+                                T(0.25) * (io(du_, i, j, kf - 1) +
+                                           io(du_, i + 1, j, kf - 1) +
+                                           io(du_, i, j, kf) +
+                                           io(du_, i + 1, j, kf));
+                            const auto rv =
+                                T(0.25) * (io(dv_, i, j, kf - 1) +
+                                           io(dv_, i, j + 1, kf - 1) +
+                                           io(dv_, i, j, kf) +
+                                           io(dv_, i, j + 1, kf));
+                            io.store(fz_hi.data() + (i - i0),
+                                     io(dw_, i, j, kf) -
+                                         ru * io(zx, i, j, kf) -
+                                         rv * io(zy, i, j, kf));
+                        });
                     }
-                    for (Index i = i0; i < i1; ++i) {
-                        const auto l = static_cast<std::size_t>(i - i0);
-                        const T div =
-                            (jxf(i + 1, j, k) * thf_x_(i + 1, j, k) *
-                                 du_(i + 1, j, k) -
-                             jxf(i, j, k) * thf_x_(i, j, k) * du_(i, j, k)) *
+                    for_each_lane_chunk<T>(layout, i0, i1, [&](auto io,
+                                                               Index i) {
+                        const auto div =
+                            (io(jxf, i + 1, j, k) * io(thf_x_, i + 1, j, k) *
+                                 io(du_, i + 1, j, k) -
+                             io(jxf, i, j, k) * io(thf_x_, i, j, k) *
+                                 io(du_, i, j, k)) *
                                 rdx +
-                            (jyf(i, j + 1, k) * thf_y_(i, j + 1, k) *
-                                 dv_(i, j + 1, k) -
-                             jyf(i, j, k) * thf_y_(i, j, k) * dv_(i, j, k)) *
+                            (io(jyf, i, j + 1, k) * io(thf_y_, i, j + 1, k) *
+                                 io(dv_, i, j + 1, k) -
+                             io(jyf, i, j, k) * io(thf_y_, i, j, k) *
+                                 io(dv_, i, j, k)) *
                                 rdy +
-                            (thf_z_(i, j, k + 1) * fz_hi[l] -
-                             thf_z_(i, j, k) * fz_lo[l]) *
+                            (io(thf_z_, i, j, k + 1) *
+                                 io(fz_hi.data() + (i - i0)) -
+                             io(thf_z_, i, j, k) *
+                                 io(fz_lo.data() + (i - i0))) *
                                 rdz;
-                        const T dth_half =
-                            dth_(i, j, k) +
-                            half_dtau * (slow.rhotheta(i, j, k) -
-                                         div / jc(i, j, k));
-                        dp_half_(i, j, k) = cpt_(i, j, k) * dth_half;
-                    }
+                        const auto dth_half =
+                            io(dth_, i, j, k) +
+                            half_dtau * (io(slow.rhotheta, i, j, k) -
+                                         div / io(jc, i, j, k));
+                        io.store(dp_half_, i, j, k,
+                                 io(cpt_, i, j, k) * dth_half);
+                    });
                     fz_lo.swap(fz_hi);
                 }
             }
@@ -365,16 +360,17 @@ class AcousticStepper {
                           static_cast<std::uint64_t>(nx * (j1 - j0) * nz));
         // Zero, accumulate and update touch only their own row, so one
         // region runs all three per j-slab (pgf_x_rows nests inline).
+        const T dt = T(dtau);
         parallel_for_range(j0, j1, [&](Index jb, Index je) {
-            for (Index j = jb; j < je; ++j)
-                for (Index k = 0; k < nz; ++k)
-                    for (Index i = 0; i < nx; ++i) tend_u_(i, j, k) = T(0);
+            for_interior_rows(jb, je, [&](auto io, Index i, Index j, Index k) {
+                io.store(tend_u_, i, j, k, io.splat(T(0)));
+            });
             pgf_x_rows(grid_, dp_half_, tend_u_, jb, je);
-            for (Index j = jb; j < je; ++j)
-                for (Index k = 0; k < nz; ++k)
-                    for (Index i = 0; i < nx; ++i)
-                        du_(i, j, k) += T(dtau) * (tend_u_(i, j, k) +
-                                                    slow.rhou(i, j, k));
+            for_interior_rows(jb, je, [&](auto io, Index i, Index j, Index k) {
+                io.store(du_, i, j, k,
+                         io(du_, i, j, k) + dt * (io(tend_u_, i, j, k) +
+                                                  io(slow.rhou, i, j, k)));
+            });
         });
     }
 
@@ -387,16 +383,17 @@ class AcousticStepper {
         KernelScope scope("pgf_y_short", {/*reads=*/4, /*writes=*/1, 16},
                           static_cast<std::uint64_t>(nx * (j1 - j0) * nz));
         // One region per j-slab, as in phase_momentum_x_rows.
+        const T dt = T(dtau);
         parallel_for_range(j0, j1, [&](Index jb, Index je) {
-            for (Index j = jb; j < je; ++j)
-                for (Index k = 0; k < nz; ++k)
-                    for (Index i = 0; i < nx; ++i) tend_v_(i, j, k) = T(0);
+            for_interior_rows(jb, je, [&](auto io, Index i, Index j, Index k) {
+                io.store(tend_v_, i, j, k, io.splat(T(0)));
+            });
             pgf_y_rows(grid_, dp_half_, tend_v_, jb, je);
-            for (Index j = jb; j < je; ++j)
-                for (Index k = 0; k < nz; ++k)
-                    for (Index i = 0; i < nx; ++i)
-                        dv_(i, j, k) += T(dtau) * (tend_v_(i, j, k) +
-                                                    slow.rhov(i, j, k));
+            for_interior_rows(jb, je, [&](auto io, Index i, Index j, Index k) {
+                io.store(dv_, i, j, k,
+                         io(dv_, i, j, k) + dt * (io(tend_v_, i, j, k) +
+                                                  io(slow.rhov, i, j, k)));
+            });
         });
     }
 
@@ -420,10 +417,10 @@ class AcousticStepper {
     /// Phase 3: build and solve the vertical implicit (Helmholtz) system,
     /// then update rho', theta', p' over the interior columns. Reads only
     /// interior cells of the deviations; leaves their halos as they were.
-    /// The sweep marches batch_w_ columns of one j-row simultaneously over
-    /// interleaved column-block workspaces (lane index innermost and
-    /// unit-stride, the CPU analogue of the paper's xzy storage order,
-    /// Sec. IV-A-1); at width 1 it marches one column at a time.
+    /// All nx columns of one j-row march k together (the CPU analogue of
+    /// the paper's xzy storage order, Sec. IV-A-1): each level is one
+    /// unit-stride row of lane chunks, and the row's tridiagonal systems
+    /// are solved in one batched sweep.
     void phase_vertical_implicit(const Tendencies<T>& slow, double dtau) {
         const Index nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
         const T rdx = T(1.0 / grid_.dx());
@@ -439,161 +436,137 @@ class AcousticStepper {
         const T g = T(constants::g);
         const T dt = T(dtau);
         const T hgb = T(0.5) * dt * g * beta;
-
-        const auto n = static_cast<std::size_t>(nz);
-        const auto W = static_cast<std::size_t>(batch_w_);
+        const Layout layout = grid_.layout();
+        const auto row_size = static_cast<std::size_t>(nx);
 
         {
         KernelScope scope("helmholtz_1d", {/*reads=*/12, /*writes=*/4, 12},
                           static_cast<std::uint64_t>(nx * ny * nz));
         parallel_for(ny, [&](Index jb, Index je) {
-        // Interleaved column-block workspaces: level k of lane l lives at
-        // k*W + l, so every inner lane loop below is unit-stride and
-        // auto-vectorizes. Allocated once per j-slab.
-        std::vector<T> fzs((n + 1) * W);
-        std::vector<T> Dv(n * W), Rv(n * W), Cv(n * W);
-        std::vector<T> sub(n * W), dia(n * W), sup(n * W), rhs(n * W),
-            scratch(n * W), betav(W);
+        // Row workspaces, level-major: level k of column i at k*nx + i.
+        // Allocated once per j-slab.
+        const auto levels = static_cast<std::size_t>(nz);
+        std::vector<T> fzs((levels + 1) * row_size);
+        std::vector<T> sub(levels * row_size), dia(levels * row_size),
+            sup(levels * row_size), rhs(levels * row_size),
+            scratch(levels * row_size), betav(row_size);
+        auto at = [nx](std::vector<T>& v, Index k, Index i) {
+            return v.data() + (k * nx + i);
+        };
         for (Index j = jb; j < je; ++j) {
-            for (Index ib = 0; ib < nx; ib += batch_w_) {
-                const Index iw = std::min(batch_w_, nx - ib);
-                const auto w = static_cast<std::size_t>(iw);
-                // Vertical deviation fluxes at interior faces (zero at the
-                // bottom/top faces), lane-interleaved.
-                for (std::size_t l = 0; l < w; ++l) {
-                    fzs[l] = T(0);
-                    fzs[n * W + l] = T(0);
-                }
-                for (Index k = 1; k < nz; ++k) {
-                    const std::size_t row = static_cast<std::size_t>(k) * W;
-                    for (Index l = 0; l < iw; ++l) {
-                        const Index i = ib + l;
-                        const T ru =
-                            T(0.25) *
-                            (du_(i, j, k - 1) + du_(i + 1, j, k - 1) +
-                             du_(i, j, k) + du_(i + 1, j, k));
-                        const T rv =
-                            T(0.25) *
-                            (dv_(i, j, k - 1) + dv_(i, j + 1, k - 1) +
-                             dv_(i, j, k) + dv_(i, j + 1, k));
-                        fzs[row + static_cast<std::size_t>(l)] =
-                            one_m_beta * dw_(i, j, k) -
-                            (ru * zx(i, j, k) + rv * zy(i, j, k));
-                    }
-                }
-                // Explicit parts of the continuity and theta updates.
-                for (Index k = 0; k < nz; ++k) {
-                    const std::size_t row = static_cast<std::size_t>(k) * W;
-                    const T rdz = T(1.0 / grid_.dzeta(k));
-                    for (Index l = 0; l < iw; ++l) {
-                        const Index i = ib + l;
-                        const auto lu = static_cast<std::size_t>(l);
-                        Dv[row + lu] = dt * beta * rdz / jc(i, j, k);
-                        const T hdiv_rho =
-                            (jxf(i + 1, j, k) * du_(i + 1, j, k) -
-                             jxf(i, j, k) * du_(i, j, k)) *
-                                rdx +
-                            (jyf(i, j + 1, k) * dv_(i, j + 1, k) -
-                             jyf(i, j, k) * dv_(i, j, k)) *
-                                rdy;
-                        const T hdiv_th =
-                            (jxf(i + 1, j, k) * thf_x_(i + 1, j, k) *
-                                 du_(i + 1, j, k) -
-                             jxf(i, j, k) * thf_x_(i, j, k) * du_(i, j, k)) *
-                                rdx +
-                            (jyf(i, j + 1, k) * thf_y_(i, j + 1, k) *
-                                 dv_(i, j + 1, k) -
-                             jyf(i, j, k) * thf_y_(i, j, k) * dv_(i, j, k)) *
-                                rdy;
-                        const T hrho = -hdiv_rho / jc(i, j, k);
-                        const T hth = -hdiv_th / jc(i, j, k);
-                        const T vflux_rho =
-                            (fzs[row + W + lu] - fzs[row + lu]) * rdz /
-                            jc(i, j, k);
-                        const T vflux_th =
-                            (thf_z_(i, j, k + 1) * fzs[row + W + lu] -
-                             thf_z_(i, j, k) * fzs[row + lu]) *
-                            rdz / jc(i, j, k);
-                        Rv[row + lu] =
-                            drho_(i, j, k) +
-                            dt * (hrho + slow.rho(i, j, k) - vflux_rho);
-                        Cv[row + lu] =
-                            dth_(i, j, k) +
-                            dt * (hth + slow.rhotheta(i, j, k) - vflux_th);
-                    }
-                }
-                // Assemble the tridiagonal systems for W' at faces
-                // 1..nz-1 (system row k-1, lane-interleaved).
-                for (Index k = 1; k < nz; ++k) {
-                    const std::size_t row =
-                        static_cast<std::size_t>(k - 1) * W;
-                    const std::size_t ku = row + W;  // level k block
-                    const std::size_t km = row;      // level k-1 block
-                    const T dzc = T(grid_.zeta_center(k) -
-                                    grid_.zeta_center(k - 1));
-                    for (Index l = 0; l < iw; ++l) {
-                        const Index i = ib + l;
-                        const auto lu = static_cast<std::size_t>(l);
-                        const T gk = dt / (jzf(i, j, k) * dzc);
-                        const T cpt_k = cpt_(i, j, k);
-                        const T cpt_m = cpt_(i, j, k - 1);
-                        const T gb = gk * beta;
-                        const T thf_m = thf_z_(i, j, k - 1);
-                        const T thf_k = thf_z_(i, j, k);
-                        const T thf_p = thf_z_(i, j, k + 1);
-                        T a = -gb * cpt_m * Dv[km + lu] * thf_m +
-                              hgb * Dv[km + lu];
-                        T b = T(1) +
-                              gb * (cpt_k * Dv[ku + lu] * thf_k +
-                                    cpt_m * Dv[km + lu] * thf_k) +
-                              hgb * (Dv[ku + lu] - Dv[km + lu]);
-                        T c = -gb * cpt_k * Dv[ku + lu] * thf_p -
-                              hgb * Dv[ku + lu];
-                        T r = dw_(i, j, k) + dt * slow.rhow(i, j, k) -
-                              gk * (beta * (cpt_k * Cv[ku + lu] -
-                                            cpt_m * Cv[km + lu]) +
-                                    one_m_beta *
-                                        (dp_(i, j, k) - dp_(i, j, k - 1))) -
-                              dt * g *
-                                  (beta * T(0.5) *
-                                       (Rv[km + lu] + Rv[ku + lu]) +
-                                   one_m_beta * T(0.5) *
-                                       (drho_(i, j, k - 1) +
-                                        drho_(i, j, k)));
-                        // Boundary folds: W'_0 and W'_nz carry no flux.
-                        if (k == 1) a = T(0);
-                        if (k == nz - 1) c = T(0);
-                        sub[row + lu] = a;
-                        dia[row + lu] = b;
-                        sup[row + lu] = c;
-                        rhs[row + lu] = r;
-                    }
-                }
-                solve_tridiagonal_batched<T>(sub.data(), dia.data(),
-                                             sup.data(), rhs.data(),
-                                             scratch.data(), betav.data(),
-                                             n - 1, w, W);
-                for (Index k = 1; k < nz; ++k) {
-                    const std::size_t row =
-                        static_cast<std::size_t>(k - 1) * W;
-                    for (Index l = 0; l < iw; ++l) {
-                        dw_(ib + l, j, k) =
-                            rhs[row + static_cast<std::size_t>(l)];
-                    }
-                }
-                for (Index l = 0; l < iw; ++l) dw_(ib + l, j, nz) = T(0);
-                // Stash the explicit parts for the update kernels.
-                for (Index k = 0; k < nz; ++k) {
-                    const std::size_t row = static_cast<std::size_t>(k) * W;
-                    for (Index l = 0; l < iw; ++l) {
-                        const Index i = ib + l;
-                        const auto lu = static_cast<std::size_t>(l);
-                        cv3_(i, j, k) = Cv[row + lu];
-                        rv3_(i, j, k) = Rv[row + lu];
-                        dv3_(i, j, k) = Dv[row + lu];
-                    }
-                }
+            // Vertical deviation fluxes at interior faces (zero at the
+            // bottom/top faces).
+            std::fill_n(at(fzs, 0, 0), nx, T(0));
+            std::fill_n(at(fzs, nz, 0), nx, T(0));
+            for (Index k = 1; k < nz; ++k) {
+                for_each_lane_chunk<T>(layout, 0, nx, [&](auto io, Index i) {
+                    const auto ru = T(0.25) * (io(du_, i, j, k - 1) +
+                                               io(du_, i + 1, j, k - 1) +
+                                               io(du_, i, j, k) +
+                                               io(du_, i + 1, j, k));
+                    const auto rv = T(0.25) * (io(dv_, i, j, k - 1) +
+                                               io(dv_, i, j + 1, k - 1) +
+                                               io(dv_, i, j, k) +
+                                               io(dv_, i, j + 1, k));
+                    io.store(at(fzs, k, i),
+                             one_m_beta * io(dw_, i, j, k) -
+                                 (ru * io(zx, i, j, k) + rv * io(zy, i, j, k)));
+                });
             }
+            // Explicit parts of the continuity and theta updates, kept in
+            // dv3_/rv3_/cv3_ for the update kernels.
+            for (Index k = 0; k < nz; ++k) {
+                const T rdz = T(1.0 / grid_.dzeta(k));
+                for_each_lane_chunk<T>(layout, 0, nx, [&](auto io, Index i) {
+                    io.store(dv3_, i, j, k, dt * beta * rdz / io(jc, i, j, k));
+                    const auto hdiv_rho =
+                        (io(jxf, i + 1, j, k) * io(du_, i + 1, j, k) -
+                         io(jxf, i, j, k) * io(du_, i, j, k)) *
+                            rdx +
+                        (io(jyf, i, j + 1, k) * io(dv_, i, j + 1, k) -
+                         io(jyf, i, j, k) * io(dv_, i, j, k)) *
+                            rdy;
+                    const auto hdiv_th =
+                        (io(jxf, i + 1, j, k) * io(thf_x_, i + 1, j, k) *
+                             io(du_, i + 1, j, k) -
+                         io(jxf, i, j, k) * io(thf_x_, i, j, k) *
+                             io(du_, i, j, k)) *
+                            rdx +
+                        (io(jyf, i, j + 1, k) * io(thf_y_, i, j + 1, k) *
+                             io(dv_, i, j + 1, k) -
+                         io(jyf, i, j, k) * io(thf_y_, i, j, k) *
+                             io(dv_, i, j, k)) *
+                            rdy;
+                    const auto hrho = -hdiv_rho / io(jc, i, j, k);
+                    const auto hth = -hdiv_th / io(jc, i, j, k);
+                    const auto fz_lo = io(at(fzs, k, i));
+                    const auto fz_hi = io(at(fzs, k + 1, i));
+                    const auto vflux_rho =
+                        (fz_hi - fz_lo) * rdz / io(jc, i, j, k);
+                    const auto vflux_th = (io(thf_z_, i, j, k + 1) * fz_hi -
+                                           io(thf_z_, i, j, k) * fz_lo) *
+                                          rdz / io(jc, i, j, k);
+                    io.store(rv3_, i, j, k,
+                             io(drho_, i, j, k) +
+                                 dt * (hrho + io(slow.rho, i, j, k) -
+                                       vflux_rho));
+                    io.store(cv3_, i, j, k,
+                             io(dth_, i, j, k) +
+                                 dt * (hth + io(slow.rhotheta, i, j, k) -
+                                       vflux_th));
+                });
+            }
+            // Assemble the tridiagonal systems for W' at faces 1..nz-1
+            // (system row k-1).
+            for (Index k = 1; k < nz; ++k) {
+                const T dzc =
+                    T(grid_.zeta_center(k) - grid_.zeta_center(k - 1));
+                for_each_lane_chunk<T>(layout, 0, nx, [&](auto io, Index i) {
+                    const auto gk = dt / (io(jzf, i, j, k) * dzc);
+                    const auto cpt_k = io(cpt_, i, j, k);
+                    const auto cpt_m = io(cpt_, i, j, k - 1);
+                    const auto gb = gk * beta;
+                    const auto thf_m = io(thf_z_, i, j, k - 1);
+                    const auto thf_k = io(thf_z_, i, j, k);
+                    const auto thf_p = io(thf_z_, i, j, k + 1);
+                    const auto d_m = io(dv3_, i, j, k - 1);
+                    const auto d_k = io(dv3_, i, j, k);
+                    auto a = -gb * cpt_m * d_m * thf_m + hgb * d_m;
+                    const auto b =
+                        T(1) +
+                        gb * (cpt_k * d_k * thf_k + cpt_m * d_m * thf_k) +
+                        hgb * (d_k - d_m);
+                    auto c = -gb * cpt_k * d_k * thf_p - hgb * d_k;
+                    const auto r =
+                        io(dw_, i, j, k) + dt * io(slow.rhow, i, j, k) -
+                        gk * (beta * (cpt_k * io(cv3_, i, j, k) -
+                                      cpt_m * io(cv3_, i, j, k - 1)) +
+                              one_m_beta *
+                                  (io(dp_, i, j, k) - io(dp_, i, j, k - 1))) -
+                        dt * g *
+                            (beta * T(0.5) *
+                                 (io(rv3_, i, j, k - 1) + io(rv3_, i, j, k)) +
+                             one_m_beta * T(0.5) *
+                                 (io(drho_, i, j, k - 1) +
+                                  io(drho_, i, j, k)));
+                    // Boundary folds: W'_0 and W'_nz carry no flux.
+                    if (k == 1) a = io.splat(T(0));
+                    if (k == nz - 1) c = io.splat(T(0));
+                    io.store(at(sub, k - 1, i), a);
+                    io.store(at(dia, k - 1, i), b);
+                    io.store(at(sup, k - 1, i), c);
+                    io.store(at(rhs, k - 1, i), r);
+                });
+            }
+            solve_tridiagonal_batched<T>(sub.data(), dia.data(), sup.data(),
+                                         rhs.data(), scratch.data(),
+                                         betav.data(), nz - 1, nx);
+            for (Index k = 1; k < nz; ++k) {
+                for_each_lane_chunk<T>(layout, 0, nx, [&](auto io, Index i) {
+                    io.store(dw_, i, j, k, io(at(rhs, k - 1, i)));
+                });
+            }
+            for (Index i = 0; i < nx; ++i) dw_(i, j, nz) = T(0);
         }
         });
         }  // helmholtz_1d scope
@@ -601,78 +574,92 @@ class AcousticStepper {
     }
 
   private:
+    /// Run body(io, i, j, k) over the interior cells of rows [jb, je),
+    /// k by k, each x row in lane chunks (for_each_lane_chunk).
+    template <class Body>
+    void for_interior_rows(Index jb, Index je, Body&& body) const {
+        const Index nx = grid_.nx(), nz = grid_.nz();
+        const Layout layout = grid_.layout();
+        for (Index j = jb; j < je; ++j)
+            for (Index k = 0; k < nz; ++k)
+                for_each_lane_chunk<T>(layout, 0, nx, [&](auto io, Index i) {
+                    body(io, i, j, k);
+                });
+    }
+
+    /// New rho' and theta' of one lane chunk from the explicit parts the
+    /// sweep kept and the new W' (zero at the bottom and top faces).
+    template <class IO>
+    auto new_drho(IO io, Index i, Index j, Index k) const {
+        const auto w_lo = k == 0 ? io.splat(T(0)) : io(dw_, i, j, k);
+        const auto w_hi =
+            k == grid_.nz() - 1 ? io.splat(T(0)) : io(dw_, i, j, k + 1);
+        return io(rv3_, i, j, k) - io(dv3_, i, j, k) * (w_hi - w_lo);
+    }
+    template <class IO>
+    auto new_dth(IO io, Index i, Index j, Index k) const {
+        const auto w_lo = k == 0 ? io.splat(T(0)) : io(dw_, i, j, k);
+        const auto w_hi =
+            k == grid_.nz() - 1 ? io.splat(T(0)) : io(dw_, i, j, k + 1);
+        return io(cv3_, i, j, k) -
+               io(dv3_, i, j, k) * (io(thf_z_, i, j, k + 1) * w_hi -
+                                    io(thf_z_, i, j, k) * w_lo);
+    }
+
     /// Final rho', theta', p' updates with the beta-averaged new W' from
-    /// the explicit parts the sweep stashed. The fused variant (paper
+    /// the explicit parts the sweep kept. The fused variant (paper
     /// Sec. V-A method 3 "logical fusion") performs all three updates in
     /// one streaming pass so the shared dw/dv3 operands are read once and
-    /// the density update rides in the theta kernel's window; per-cell arithmetic is unchanged, so both variants are
-    /// bitwise identical (asserted by tests/test_multidomain.cpp: the
-    /// decomposed runner fuses, the single-domain stepper does not).
+    /// the density update rides in the theta kernel's window; per-cell
+    /// arithmetic is unchanged, so both variants are bitwise identical
+    /// (asserted by tests/test_multidomain.cpp: the decomposed runner
+    /// fuses, the single-domain stepper does not).
     void update_after_implicit() {
         const Index nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
+        const auto cells = static_cast<std::uint64_t>(nx * ny * nz);
         if (cfg_.fuse_density_theta) {
             KernelScope scope("density_theta_fused",
-                              {/*reads=*/6, /*writes=*/3, 6},
-                              static_cast<std::uint64_t>(nx * ny * nz));
+                              {/*reads=*/6, /*writes=*/3, 6}, cells);
             parallel_for(ny, [&](Index jb, Index je) {
-            for (Index j = jb; j < je; ++j)
-                for (Index k = 0; k < nz; ++k)
-                    for (Index i = 0; i < nx; ++i) {
-                        const T w_lo = (k == 0) ? T(0) : dw_(i, j, k);
-                        const T w_hi =
-                            (k == nz - 1) ? T(0) : dw_(i, j, k + 1);
-                        drho_(i, j, k) =
-                            rv3_(i, j, k) - dv3_(i, j, k) * (w_hi - w_lo);
-                        dth_(i, j, k) =
-                            cv3_(i, j, k) -
-                            dv3_(i, j, k) * (thf_z_(i, j, k + 1) * w_hi -
-                                             thf_z_(i, j, k) * w_lo);
-                        dp_(i, j, k) = cpt_(i, j, k) * dth_(i, j, k);
-                    }
+                for_interior_rows(jb, je, [&](auto io, Index i, Index j,
+                                              Index k) {
+                    io.store(drho_, i, j, k, new_drho(io, i, j, k));
+                    const auto th = new_dth(io, i, j, k);
+                    io.store(dth_, i, j, k, th);
+                    io.store(dp_, i, j, k, io(cpt_, i, j, k) * th);
+                });
             });
             return;
         }
         {
             KernelScope scope("continuity_update",
-                              {/*reads=*/3, /*writes=*/1, 2},
-                              static_cast<std::uint64_t>(nx * ny * nz));
+                              {/*reads=*/3, /*writes=*/1, 2}, cells);
             parallel_for(ny, [&](Index jb, Index je) {
-            for (Index j = jb; j < je; ++j)
-                for (Index k = 0; k < nz; ++k)
-                    for (Index i = 0; i < nx; ++i) {
-                        const T w_lo = (k == 0) ? T(0) : dw_(i, j, k);
-                        const T w_hi =
-                            (k == nz - 1) ? T(0) : dw_(i, j, k + 1);
-                        drho_(i, j, k) =
-                            rv3_(i, j, k) - dv3_(i, j, k) * (w_hi - w_lo);
-                    }
+                for_interior_rows(jb, je, [&](auto io, Index i, Index j,
+                                              Index k) {
+                    io.store(drho_, i, j, k, new_drho(io, i, j, k));
+                });
             });
         }
         {
             KernelScope scope("theta_update", {/*reads=*/4, /*writes=*/1, 4},
-                              static_cast<std::uint64_t>(nx * ny * nz));
+                              cells);
             parallel_for(ny, [&](Index jb, Index je) {
-            for (Index j = jb; j < je; ++j)
-                for (Index k = 0; k < nz; ++k)
-                    for (Index i = 0; i < nx; ++i) {
-                        const T w_lo = (k == 0) ? T(0) : dw_(i, j, k);
-                        const T w_hi =
-                            (k == nz - 1) ? T(0) : dw_(i, j, k + 1);
-                        dth_(i, j, k) =
-                            cv3_(i, j, k) -
-                            dv3_(i, j, k) * (thf_z_(i, j, k + 1) * w_hi -
-                                             thf_z_(i, j, k) * w_lo);
-                    }
+                for_interior_rows(jb, je, [&](auto io, Index i, Index j,
+                                              Index k) {
+                    io.store(dth_, i, j, k, new_dth(io, i, j, k));
+                });
             });
         }
         {
             KernelScope scope("pressure_update", {/*reads=*/2, /*writes=*/1, 0},
-                              static_cast<std::uint64_t>(nx * ny * nz));
+                              cells);
             parallel_for(ny, [&](Index jb, Index je) {
-                for (Index j = jb; j < je; ++j)
-                    for (Index k = 0; k < nz; ++k)
-                        for (Index i = 0; i < nx; ++i)
-                            dp_(i, j, k) = cpt_(i, j, k) * dth_(i, j, k);
+                for_interior_rows(jb, je, [&](auto io, Index i, Index j,
+                                              Index k) {
+                    io.store(dp_, i, j, k,
+                             io(cpt_, i, j, k) * io(dth_, i, j, k));
+                });
             });
         }
     }
@@ -687,7 +674,6 @@ class AcousticStepper {
     // Workspace.
     Array3<T> dp_half_, tend_u_, tend_v_;
     Array3<T> cv3_, rv3_, dv3_;  ///< explicit parts of the implicit update
-    Index batch_w_;  ///< resolved column-batch width (columns per sweep)
 };
 
 }  // namespace asuca

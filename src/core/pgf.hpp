@@ -18,6 +18,7 @@
 #include "src/common/constants.hpp"
 #include "src/core/state.hpp"
 #include "src/field/array3.hpp"
+#include "src/field/simd.hpp"
 #include "src/grid/grid.hpp"
 #include "src/parallel/thread_pool.hpp"
 
@@ -39,6 +40,7 @@ void pgf_x_rows(const Grid<T>& grid, const Array3<T>& p, Array3<T>& tend_rhou,
     const T rdx = T(1.0 / grid.dx());
     const auto& jxf = grid.jacobian_xface();
     const auto& hs = grid.hsurf();
+    const Layout layout = grid.layout();
 
     parallel_for_range(j0, j1, [&](Index jb, Index je) {
         // Surface slope at the x-faces of one row, hoisted out of the k
@@ -54,18 +56,20 @@ void pgf_x_rows(const Grid<T>& grid, const Array3<T>& p, Array3<T>& tend_rhou,
                 const T rdzeta =
                     T(1.0 / (grid.zeta_center(kp) - grid.zeta_center(km)));
                 const T decay = T(grid.decay(grid.zeta_center(k)));
-                for (Index i = 0; i < nx; ++i) {
-                    const T dpdx = (p(i, j, k) - p(i - 1, j, k)) * rdx;
+                for_each_lane_chunk<T>(layout, 0, nx, [&](auto io, Index i) {
+                    const auto dpdx =
+                        (io(p, i, j, k) - io(p, i - 1, j, k)) * rdx;
                     // Terrain slope at the x-face, at this level.
-                    const T zx = sl[i] * decay;
-                    const T dpdzeta =
+                    const auto zx = io(sl.data() + i) * decay;
+                    const auto dpdzeta =
                         T(0.5) *
-                        ((p(i - 1, j, kp) - p(i - 1, j, km)) +
-                         (p(i, j, kp) - p(i, j, km))) *
+                        ((io(p, i - 1, j, kp) - io(p, i - 1, j, km)) +
+                         (io(p, i, j, kp) - io(p, i, j, km))) *
                         rdzeta;
-                    tend_rhou(i, j, k) -=
-                        dpdx - zx / jxf(i, j, k) * dpdzeta;
-                }
+                    io.store(tend_rhou, i, j, k,
+                             io(tend_rhou, i, j, k) -
+                                 (dpdx - zx / io(jxf, i, j, k) * dpdzeta));
+                });
             }
         }
     });
@@ -89,6 +93,7 @@ void pgf_y_rows(const Grid<T>& grid, const Array3<T>& p, Array3<T>& tend_rhov,
     const T rdy = T(1.0 / grid.dy());
     const auto& jyf = grid.jacobian_yface();
     const auto& hs = grid.hsurf();
+    const Layout layout = grid.layout();
 
     parallel_for_range(j0, j1, [&](Index jb, Index je) {
         std::vector<T> sl(static_cast<std::size_t>(nx));
@@ -101,16 +106,19 @@ void pgf_y_rows(const Grid<T>& grid, const Array3<T>& p, Array3<T>& tend_rhov,
                 const T rdzeta =
                     T(1.0 / (grid.zeta_center(kp) - grid.zeta_center(km)));
                 const T decay = T(grid.decay(grid.zeta_center(k)));
-                for (Index i = 0; i < nx; ++i) {
-                    const T dpdy = (p(i, j, k) - p(i, j - 1, k)) * rdy;
-                    const T zy = sl[i] * decay;
-                    const T dpdzeta =
+                for_each_lane_chunk<T>(layout, 0, nx, [&](auto io, Index i) {
+                    const auto dpdy =
+                        (io(p, i, j, k) - io(p, i, j - 1, k)) * rdy;
+                    const auto zy = io(sl.data() + i) * decay;
+                    const auto dpdzeta =
                         T(0.5) *
-                        ((p(i, j - 1, kp) - p(i, j - 1, km)) +
-                         (p(i, j, kp) - p(i, j, km))) *
+                        ((io(p, i, j - 1, kp) - io(p, i, j - 1, km)) +
+                         (io(p, i, j, kp) - io(p, i, j, km))) *
                         rdzeta;
-                    tend_rhov(i, j, k) -= dpdy - zy / jyf(i, j, k) * dpdzeta;
-                }
+                    io.store(tend_rhov, i, j, k,
+                             io(tend_rhov, i, j, k) -
+                                 (dpdy - zy / io(jyf, i, j, k) * dpdzeta));
+                });
             }
         }
     });

@@ -11,6 +11,7 @@
 #include <span>
 
 #include "src/common/error.hpp"
+#include "src/field/simd.hpp"
 
 namespace asuca {
 
@@ -41,48 +42,53 @@ inline void solve_tridiagonal(std::span<const T> lower, std::span<const T> diag,
     }
 }
 
-/// Solve `w` independent tridiagonal systems simultaneously (the paper's
-/// Fig. 2b kernel marches one thread per column; this is the CPU analogue
-/// with SIMD lanes as the threads). Systems are stored interleaved: the
-/// level-k coefficient of lane l lives at index k*stride + l, so the inner
-/// lane loop is unit-stride and auto-vectorizes. `beta` must have at least
-/// `stride` elements; `lower`/`diag`/`upper`/`rhs`/`scratch` at least
-/// n*stride. Requires w <= stride.
+/// Solve the `m` independent systems of one row of columns together (the
+/// paper's Fig. 2b kernel marches one thread per column; this is the CPU
+/// analogue with SIMD lanes as the threads). Systems are stored
+/// level-major: the level-k coefficient of system l lives at index
+/// k*m + l, so each level is one unit-stride row, swept in Lanes<T>
+/// chunks and a scalar remainder (for_each_lane_chunk). `beta` must have
+/// at least m elements; `lower`/`diag`/`upper`/`rhs`/`scratch` at least
+/// n*m.
 ///
-/// Each lane executes exactly the operation sequence of
-/// solve_tridiagonal, so per-column results are bitwise identical to the
-/// scalar sweep for ANY w (on targets without implicit FMA contraction —
-/// the default build; see -DASUCA_NATIVE_ARCH in DESIGN.md).
+/// Each system runs exactly the operation sequence of solve_tridiagonal,
+/// so every column is bitwise identical to the scalar sweep (on targets
+/// without implicit FMA contraction — the default build; see
+/// -DASUCA_NATIVE_ARCH in DESIGN.md).
 template <class T>
 inline void solve_tridiagonal_batched(const T* lower, const T* diag,
                                       const T* upper, T* rhs, T* scratch,
-                                      T* beta, std::size_t n, std::size_t w,
-                                      std::size_t stride) {
-    ASUCA_ASSERT(n >= 1, "empty tridiagonal system");
-    ASUCA_ASSERT(w >= 1 && w <= stride, "bad batch width " << w
-                                            << " for stride " << stride);
+                                      T* beta, Index n, Index m) {
+    ASUCA_ASSERT(n >= 1 && m >= 1, "empty tridiagonal batch " << n << "x"
+                                                              << m);
     // Forward sweep.
-    for (std::size_t l = 0; l < w; ++l) {
-        beta[l] = diag[l];
-        rhs[l] = rhs[l] / beta[l];
-    }
-    for (std::size_t k = 1; k < n; ++k) {
-        const std::size_t row = k * stride;
-        const std::size_t prev = row - stride;
-        for (std::size_t l = 0; l < w; ++l) {
-            scratch[row + l] = upper[prev + l] / beta[l];
-            beta[l] = diag[row + l] - lower[row + l] * scratch[row + l];
-            rhs[row + l] =
-                (rhs[row + l] - lower[row + l] * rhs[prev + l]) / beta[l];
-        }
+    for_each_lane_chunk<T>(0, m, [&](auto io, Index l) {
+        io.store(beta + l, io(diag + l));
+        io.store(rhs + l, io(rhs + l) / io(beta + l));
+    });
+    for (Index k = 1; k < n; ++k) {
+        const Index row = k * m;
+        const Index prev = row - m;
+        for_each_lane_chunk<T>(0, m, [&](auto io, Index l) {
+            const auto s = io(upper + prev + l) / io(beta + l);
+            io.store(scratch + row + l, s);
+            const auto b = io(diag + row + l) - io(lower + row + l) * s;
+            io.store(beta + l, b);
+            io.store(rhs + row + l,
+                     (io(rhs + row + l) - io(lower + row + l) *
+                                              io(rhs + prev + l)) /
+                         b);
+        });
     }
     // Back substitution.
-    for (std::size_t k = n - 1; k-- > 0;) {
-        const std::size_t row = k * stride;
-        const std::size_t next = row + stride;
-        for (std::size_t l = 0; l < w; ++l) {
-            rhs[row + l] = rhs[row + l] - scratch[next + l] * rhs[next + l];
-        }
+    for (Index k = n - 1; k-- > 0;) {
+        const Index row = k * m;
+        const Index next = row + m;
+        for_each_lane_chunk<T>(0, m, [&](auto io, Index l) {
+            io.store(rhs + row + l,
+                     io(rhs + row + l) -
+                         io(scratch + next + l) * io(rhs + next + l));
+        });
     }
 }
 

@@ -44,6 +44,7 @@ class Array3 {
     Index halo() const { return halo_; }
     Layout layout() const { return layout_; }
     Int3 padded_extents() const { return padded_; }
+    Strides strides() const { return strides_; }
 
     /// Number of stored elements including halos.
     std::size_t size() const { return data_.size(); }

@@ -103,5 +103,26 @@ TEST(Calibration, FlopsPerElementIsMeshIndependent) {
     }
 }
 
+TEST(Calibration, ShortStepFlopsPerElementUnchanged) {
+    // StepModel's Fig. 9-11 rows and the benchmark's GFLOP/s read these
+    // counts. The short-step kernels run on SIMD lanes, and a lane body
+    // that computed a per-cell scalar product once per chunk would move
+    // them, so they are pinned to the per-cell arithmetic of the scalar
+    // loops, exactly.
+    const auto cal = calibrate_flops(benchmark_model_config(), {16, 12, 12});
+    auto fpe = [&](const char* name) {
+        for (const auto& r : cal.records)
+            if (r.name == name) return r.flops_per_element();
+        return 0.0;
+    };
+    EXPECT_EQ(fpe("helmholtz_1d"), 105.83333333333333);
+    EXPECT_EQ(fpe("theta_update_half"), 34.0);
+    EXPECT_EQ(fpe("pgf_x_short"), 15.166666666666666);
+    EXPECT_EQ(fpe("pgf_y_short"), 15.166666666666666);
+    EXPECT_EQ(fpe("theta_update"), 5.0);
+    EXPECT_EQ(fpe("continuity_update"), 3.0);
+    EXPECT_EQ(fpe("pressure_update"), 1.0);
+}
+
 }  // namespace
 }  // namespace asuca

@@ -92,33 +92,34 @@ TEST(Tridiagonal, SecondDifferenceOperator) {
     }
 }
 
-/// Generate `w` independent random diagonally-dominant systems of size
+/// Generate `m` independent random diagonally-dominant systems of size
 /// `n`, solve each with the scalar sweep, then solve all of them with one
-/// batched sweep over an interleaved workspace of lane stride `stride`
-/// (>= w: the remainder blocks of the acoustic gather loop run w < stride)
-/// and require the per-lane results to match the scalar sweep EXACTLY —
-/// each lane executes the identical operation sequence, so on the default
-/// build (no implicit FMA contraction) the bound is 0 ULP.
-void check_batched_matches_scalar(std::size_t n, std::size_t w,
-                                  std::size_t stride, unsigned seed) {
+/// batched sweep over a level-major workspace (level k of system l at
+/// k*m + l; m that is not a multiple of the lane width runs the scalar
+/// remainder) and require the per-system results to match the scalar
+/// sweep EXACTLY — each system executes the identical operation sequence,
+/// so on the default build (no implicit FMA contraction) the bound is
+/// 0 ULP.
+void check_batched_matches_scalar(std::size_t n, std::size_t m,
+                                  unsigned seed) {
     std::mt19937 rng(seed);
     std::uniform_real_distribution<double> dist(-1.0, 1.0);
 
-    std::vector<double> lower(n * stride, 0.0), diag(n * stride, 0.0),
-        upper(n * stride, 0.0), rhs(n * stride, 0.0),
-        scratch(n * stride, 0.0), beta(stride, 0.0);
-    std::vector<std::vector<double>> expected(w);
-    for (std::size_t l = 0; l < w; ++l) {
+    std::vector<double> lower(n * m, 0.0), diag(n * m, 0.0),
+        upper(n * m, 0.0), rhs(n * m, 0.0), scratch(n * m, 0.0),
+        beta(m, 0.0);
+    std::vector<std::vector<double>> expected(m);
+    for (std::size_t l = 0; l < m; ++l) {
         std::vector<double> lo(n), di(n), up(n), x(n), sc(n);
         for (std::size_t k = 0; k < n; ++k) {
             lo[k] = dist(rng);
             up[k] = dist(rng);
             di[k] = 3.0 + std::abs(dist(rng));
             x[k] = dist(rng) * 5.0;
-            lower[k * stride + l] = lo[k];
-            diag[k * stride + l] = di[k];
-            upper[k * stride + l] = up[k];
-            rhs[k * stride + l] = x[k];
+            lower[k * m + l] = lo[k];
+            diag[k * m + l] = di[k];
+            upper[k * m + l] = up[k];
+            rhs[k * m + l] = x[k];
         }
         solve_tridiagonal<double>(lo, di, up, x, sc);
         expected[l] = std::move(x);
@@ -126,39 +127,42 @@ void check_batched_matches_scalar(std::size_t n, std::size_t w,
 
     solve_tridiagonal_batched<double>(lower.data(), diag.data(), upper.data(),
                                       rhs.data(), scratch.data(), beta.data(),
-                                      n, w, stride);
-    for (std::size_t l = 0; l < w; ++l) {
+                                      static_cast<Index>(n),
+                                      static_cast<Index>(m));
+    for (std::size_t l = 0; l < m; ++l) {
         for (std::size_t k = 0; k < n; ++k) {
-            EXPECT_EQ(rhs[k * stride + l], expected[l][k])
-                << "lane " << l << " level " << k << " (n=" << n
-                << " w=" << w << " stride=" << stride << ")";
+            EXPECT_EQ(rhs[k * m + l], expected[l][k])
+                << "system " << l << " level " << k << " (n=" << n
+                << " m=" << m << ")";
         }
     }
 }
 
 TEST(TridiagonalBatched, FullWidthFourMatchesScalarExactly) {
-    check_batched_matches_scalar(48, 4, 4, 7);
+    check_batched_matches_scalar(48, 4, 7);
 }
 
 TEST(TridiagonalBatched, FullWidthEightMatchesScalarExactly) {
-    check_batched_matches_scalar(33, 8, 8, 11);
+    check_batched_matches_scalar(33, 8, 11);
 }
 
 TEST(TridiagonalBatched, OddRemainderWidthMatchesScalarExactly) {
-    // Partial blocks: w active lanes inside a wider stride, as produced
-    // at the east edge of the acoustic gather loop.
-    check_batched_matches_scalar(48, 3, 8, 13);
-    check_batched_matches_scalar(16, 5, 8, 17);
-    check_batched_matches_scalar(47, 7, 8, 19);
+    // Rows whose width leaves a scalar remainder after the lane chunks,
+    // as an odd nx does in the Helmholtz sweep.
+    check_batched_matches_scalar(48, 3, 13);
+    check_batched_matches_scalar(16, 5, 17);
+    check_batched_matches_scalar(47, 7, 19);
+    check_batched_matches_scalar(31, 13, 21);
 }
 
 TEST(TridiagonalBatched, SingleLaneMatchesScalarExactly) {
-    check_batched_matches_scalar(48, 1, 1, 23);
-    check_batched_matches_scalar(48, 1, 8, 29);
+    check_batched_matches_scalar(48, 1, 23);
+    check_batched_matches_scalar(2, 1, 29);
 }
 
 TEST(TridiagonalBatched, SingleLevelSystems) {
-    check_batched_matches_scalar(1, 4, 4, 31);
+    check_batched_matches_scalar(1, 4, 31);
+    check_batched_matches_scalar(1, 3, 37);
 }
 
 TEST(TridiagonalBatched, MatchesDenseReference) {
@@ -185,7 +189,8 @@ TEST(TridiagonalBatched, MatchesDenseReference) {
     }
     solve_tridiagonal_batched<double>(lower.data(), diag.data(), upper.data(),
                                       rhs.data(), scratch.data(), beta.data(),
-                                      n, w, w);
+                                      static_cast<Index>(n),
+                                      static_cast<Index>(w));
     for (std::size_t l = 0; l < w; ++l) {
         const auto expected = dense_solve(dense[l], b[l]);
         for (std::size_t k = 0; k < n; ++k) {
