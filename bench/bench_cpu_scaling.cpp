@@ -4,12 +4,15 @@
 // bench measures how the same numerics scale across host cores with the
 // ThreadPool's j-slab parallelization, sweeping 1/2/4/N threads over the
 // Sec. IV-B mountain-wave + warm-rain configuration (size-reduced mesh
-// for runtime). Per-kernel measured wall time is compared against the
-// roofline model on the paper's baseline core, and everything is written
-// to BENCH_cpu_scaling.json for the driver.
+// for runtime). The thread counts are timed as interleaved repetitions
+// (median, min and max per count). Per-kernel measured wall time at the
+// widest pool is compared against the roofline model on the paper's
+// baseline core, and everything is written to BENCH_cpu_scaling.json.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -22,37 +25,6 @@
 
 using namespace asuca;
 using namespace asuca::bench;
-
-namespace {
-
-struct RunResult {
-    std::size_t threads = 0;
-    double seconds_per_step = 0;
-    std::vector<KernelRecord> kernels;  ///< per-step registry records
-};
-
-/// Time `steps` long steps of the benchmark configuration at `mesh` with
-/// the global pool set to `threads`, returning per-step kernel records.
-RunResult run_at(Int3 mesh, std::size_t threads, int steps) {
-    ThreadPool::set_global_threads(threads);
-    const auto model = make_host_model(mesh);
-
-    auto& reg = KernelRegistry::global();
-    reg.reset();
-    Timer t;
-    t.start();
-    model->run(steps);
-    t.stop();
-
-    RunResult r;
-    r.threads = ThreadPool::global().num_threads();
-    r.seconds_per_step = t.seconds() / steps;
-    r.kernels = reg.records();
-    for (auto& k : r.kernels) k.seconds /= steps;
-    return r;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
     title("CPU thread scaling — full RK3/HE-VI step, j-slab decomposition");
@@ -81,20 +53,42 @@ int main(int argc, char** argv) {
                 static_cast<long long>(mesh.z), steps, hw,
                 hw == 1 ? "" : "s");
 
-    std::vector<RunResult> results;
-    for (std::size_t t : sweep) results.push_back(run_at(mesh, t, steps));
-    const double base = results.front().seconds_per_step;
+    // One model per thread count, built up front. Each cell sets the pool
+    // width and runs the steps; the cells are timed interleaved, so a slow
+    // host window lands on every thread count alike.
+    std::vector<std::unique_ptr<AsucaModel<double>>> models;
+    for (std::size_t c = 0; c < sweep.size(); ++c)
+        models.push_back(make_host_model(mesh));
+    std::vector<std::function<void()>> cells;
+    for (std::size_t c = 0; c < sweep.size(); ++c) {
+        cells.push_back([&, c] {
+            ThreadPool::set_global_threads(sweep[c]);
+            models[c]->run(steps);
+        });
+    }
+    const int reps = 5;
+    const auto timings = time_interleaved(cells, reps);
+    auto per_step = [&](double seconds) { return seconds / steps; };
+    const double base = per_step(timings.front().median());
 
-    std::printf("\n%10s %14s %10s %12s\n", "threads", "s/step", "speedup",
-                "efficiency");
-    for (const auto& r : results) {
-        const double sp = base / r.seconds_per_step;
-        std::printf("%10zu %14.4f %9.2fx %11.0f%%\n", r.threads,
-                    r.seconds_per_step, sp,
-                    100.0 * sp / static_cast<double>(r.threads));
+    std::printf("\n%10s %14s %12s %12s %10s %12s\n", "threads",
+                "median s/step", "min", "max", "speedup", "efficiency");
+    for (std::size_t c = 0; c < sweep.size(); ++c) {
+        const double sp = base / per_step(timings[c].median());
+        std::printf("%10zu %14.4f %12.4f %12.4f %9.2fx %11.0f%%\n", sweep[c],
+                    per_step(timings[c].median()),
+                    per_step(timings[c].min()), per_step(timings[c].max()),
+                    sp, 100.0 * sp / static_cast<double>(sweep[c]));
     }
 
-    const auto& best = results.back();
+    // Per-kernel times: one more window of `steps` steps at the widest
+    // pool, with the registry reset.
+    ThreadPool::set_global_threads(sweep.back());
+    auto& reg = KernelRegistry::global();
+    reg.reset();
+    models.back()->run(steps);
+    std::vector<KernelRecord> kernels = reg.records();
+    for (auto& k : kernels) k.seconds /= steps;
     // Per-kernel measured time at max threads vs the roofline model on
     // the paper's baseline core (Opteron, double precision, kij layout).
     // Per-kernel FLOPs come from the CountingReal calibration run scaled
@@ -118,7 +112,6 @@ int main(int argc, char** argv) {
         return 0.0;
     };
 
-    std::vector<KernelRecord> kernels = best.kernels;
     std::sort(kernels.begin(), kernels.end(),
               [](const KernelRecord& a, const KernelRecord& b) {
                   return a.seconds > b.seconds;
@@ -140,14 +133,17 @@ int main(int argc, char** argv) {
                           io::JsonValue(static_cast<long long>(mesh.y)),
                           io::JsonValue(static_cast<long long>(mesh.z))});
     doc.set("timed_steps", steps);
+    doc.set("repetitions", reps);
     doc.set("hardware_threads", static_cast<long long>(hw));
     doc.set("lane_width", static_cast<long long>(simd_lanes<double>()));
     io::JsonArray runs;
-    for (const auto& r : results) {
+    for (std::size_t c = 0; c < sweep.size(); ++c) {
         io::JsonValue row;
-        row.set("threads", static_cast<long long>(r.threads));
-        row.set("seconds_per_step", r.seconds_per_step);
-        row.set("speedup", base / r.seconds_per_step);
+        row.set("threads", static_cast<long long>(sweep[c]));
+        row.set("seconds_per_step", per_step(timings[c].median()));
+        row.set("min_seconds_per_step", per_step(timings[c].min()));
+        row.set("max_seconds_per_step", per_step(timings[c].max()));
+        row.set("speedup", base / per_step(timings[c].median()));
         runs.push_back(std::move(row));
     }
     doc.set("runs", std::move(runs));

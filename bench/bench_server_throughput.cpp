@@ -6,12 +6,13 @@
 //
 //   ./bench/bench_server_throughput [workers requests]
 //
-// Emits BENCH_server.json: per-phase (1x, 2x, and 1x under injected
-// WorkerPoison faults) requests/s, client-observed p50/p99 latency
-// (submit -> completion, queueing included), the degradation/shed/
-// failure counts, and the retry-ladder counters for the faulted row
-// (retried/quarantined/reinstated, dropped must stay 0). Every phase
-// runs the server's one admission rule (forecast_server.hpp
+// Writes its members of BENCH_server.json and keeps the others (the
+// service_rtt member of bench_service_rtt): per-phase (1x, 2x, and 1x
+// under injected WorkerPoison faults) requests/s, client-observed
+// p50/p99 latency (submit -> completion, queueing included), the
+// degradation/shed/failure counts, and the retry-ladder counters for the
+// faulted row (retried/quarantined/reinstated, dropped must stay 0).
+// Every phase runs the server's one admission rule (forecast_server.hpp
 // admission_rule) with admission_target_ms set to the calibrated cost of
 // one request, so an estimated wait of half a request sheds the horizon
 // and 2x load reaches the ladder.
@@ -204,7 +205,9 @@ int main(int argc, char** argv) {
     bench::note("1x+faults must show quarantined > 0 and dropped == 0:");
     bench::note("the retry ladder absorbs worker faults, never drops.");
 
-    io::JsonValue doc;
+    // Replace only this bench's members of the server bench document, so
+    // the service_rtt member bench_service_rtt merged in survives.
+    io::JsonValue doc = bench::read_json_or_empty("BENCH_server.json");
     doc.set("config", "warm_bubble_16x16x12");
     doc.set("workers", workers);
     doc.set("requests_per_phase", requests);
@@ -212,7 +215,7 @@ int main(int argc, char** argv) {
     doc.set("calibrated_request_ms", cost_ms);
     io::JsonArray calibration_ms;
     for (const double sec : calibration.seconds)
-        calibration_ms.push_back(io::JsonValue(1e3 * sec));
+        calibration_ms.emplace_back(1e3 * sec);
     doc.set("calibration_ms", std::move(calibration_ms));
     doc.set("admission_target_ms", cost_ms);
     doc.set("capacity_rps", capacity_rps);

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
-#include "src/io/durable_blob.hpp"
 #include "src/server/client.hpp"
 #include "src/server/socket_server.hpp"
 
@@ -133,12 +132,8 @@ int main(int argc, char** argv) {
 
     // Merge into the server bench document (create it if the throughput
     // bench has not run yet).
-    io::JsonValue doc;
-    try {
-        doc = io::json_parse(io::read_file("BENCH_server.json"));
-    } catch (const Error&) {
-        doc.set("config", "warm_bubble_16x16x12");
-    }
+    io::JsonValue doc = bench::read_json_or_empty("BENCH_server.json");
+    doc.set("config", "warm_bubble_16x16x12");
     doc.set("service_rtt", std::move(rtt));
     return bench::write_json("BENCH_server.json", doc) ? 0 : 1;
 }

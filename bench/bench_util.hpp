@@ -17,6 +17,7 @@
 #include "src/core/model.hpp"
 #include "src/gpusim/roofline.hpp"
 #include "src/instrument/calibration.hpp"
+#include "src/io/durable_blob.hpp"
 #include "src/io/json.hpp"
 
 namespace asuca::bench {
@@ -193,6 +194,17 @@ inline void note(const std::string& text) {
 /// Write a bench's machine-readable result document (crash-safely, via
 /// io::json_save) and announce the path on stdout. Returns false (after
 /// a stderr note) when the file cannot be written.
+/// The JSON document at `path`, or an empty one when the file is missing
+/// or does not parse. Benches that share one BENCH_*.json start from it
+/// and replace only their own members.
+inline io::JsonValue read_json_or_empty(const std::string& path) {
+    try {
+        return io::json_parse(io::read_file(path));
+    } catch (const Error&) {
+        return io::JsonValue();
+    }
+}
+
 inline bool write_json(const std::string& path, const io::JsonValue& doc) {
     try {
         io::json_save(path, doc);

@@ -86,42 +86,50 @@ class AcousticStepper {
                           << config.beta);
     }
 
-    /// Freeze the linearization coefficients at the RK-stage state.
+    /// Freeze the linearization coefficients at the RK-stage state. Rows
+    /// run in lane chunks, as the short-step kernels do.
     void prepare(const State<T>& bar) {
         const Index nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
         const Index h = grid_.halo();
+        const Layout layout = grid_.layout();
         KernelScope scope("acoustic_prepare", {/*reads=*/3, /*writes=*/4, 2},
                           static_cast<std::uint64_t>(nx * ny * nz));
-        auto theta = [&](Index i, Index j, Index k) {
-            return bar.rhotheta(i, j, k) / bar.rho(i, j, k);
+        auto theta = [&](auto io, Index i, Index j, Index k) {
+            return io(bar.rhotheta, i, j, k) / io(bar.rho, i, j, k);
         };
         parallel_for_range(-h + 1, ny + h - 1, [&](Index jb, Index je) {
             for (Index j = jb; j < je; ++j) {
                 for (Index k = 0; k < nz; ++k) {
-                    for (Index i = -h + 1; i < nx + h - 1; ++i) {
-                        cpt_(i, j, k) = eos_dp_drhotheta(
-                            bar.p(i, j, k), bar.rhotheta(i, j, k));
-                    }
+                    for_each_lane_chunk<T>(layout, -h + 1, nx + h - 1,
+                                           [&](auto io, Index i) {
+                        io.store(cpt_, i, j, k,
+                                 eos_dp_drhotheta(io(bar.p, i, j, k),
+                                                  io(bar.rhotheta, i, j, k)));
+                    });
                 }
             }
         });
         parallel_for_range(-h + 1, ny + h - 1, [&](Index jb, Index je) {
             for (Index j = jb; j < je; ++j) {
                 for (Index k = 0; k < nz; ++k) {
-                    for (Index i = -h + 2; i < nx + h - 1; ++i) {
-                        thf_x_(i, j, k) =
-                            T(0.5) * (theta(i - 1, j, k) + theta(i, j, k));
-                    }
+                    for_each_lane_chunk<T>(layout, -h + 2, nx + h - 1,
+                                           [&](auto io, Index i) {
+                        io.store(thf_x_, i, j, k,
+                                 T(0.5) * (theta(io, i - 1, j, k) +
+                                           theta(io, i, j, k)));
+                    });
                 }
             }
         });
         parallel_for_range(-h + 2, ny + h - 1, [&](Index jb, Index je) {
             for (Index j = jb; j < je; ++j) {
                 for (Index k = 0; k < nz; ++k) {
-                    for (Index i = -h + 1; i < nx + h - 1; ++i) {
-                        thf_y_(i, j, k) =
-                            T(0.5) * (theta(i, j - 1, k) + theta(i, j, k));
-                    }
+                    for_each_lane_chunk<T>(layout, -h + 1, nx + h - 1,
+                                           [&](auto io, Index i) {
+                        io.store(thf_y_, i, j, k,
+                                 T(0.5) * (theta(io, i, j - 1, k) +
+                                           theta(io, i, j, k)));
+                    });
                 }
             }
         });
@@ -130,10 +138,12 @@ class AcousticStepper {
                 for (Index k = 0; k <= nz; ++k) {
                     const Index km = k > 0 ? k - 1 : 0;
                     const Index kc = k < nz ? k : nz - 1;
-                    for (Index i = -h + 1; i < nx + h - 1; ++i) {
-                        thf_z_(i, j, k) =
-                            T(0.5) * (theta(i, j, km) + theta(i, j, kc));
-                    }
+                    for_each_lane_chunk<T>(layout, -h + 1, nx + h - 1,
+                                           [&](auto io, Index i) {
+                        io.store(thf_z_, i, j, k,
+                                 T(0.5) * (theta(io, i, j, km) +
+                                           theta(io, i, j, kc)));
+                    });
                 }
             }
         });
@@ -210,6 +220,11 @@ class AcousticStepper {
     Array3<T>& dth() { return dth_; }
     Array3<T>& dp() { return dp_; }
     Array3<T>& dp_half() { return dp_half_; }
+    /// The linearization coefficients the last prepare() froze.
+    const Array3<T>& cpt() const { return cpt_; }
+    const Array3<T>& thf_x() const { return thf_x_; }
+    const Array3<T>& thf_y() const { return thf_y_; }
+    const Array3<T>& thf_z() const { return thf_z_; }
 
   private:
     static Int3 center_shape(const Grid<T>& g) {
@@ -306,8 +321,9 @@ class AcousticStepper {
                                          rv * io(zy, i, j, kf));
                         });
                     }
-                    for_each_lane_chunk<T>(layout, i0, i1, [&](auto io,
-                                                               Index i) {
+                    for_each_lane_chunk<T>(layout, i0, i1,
+                                           [&, rdx, rdy, rdz, half_dtau](
+                                               auto io, Index i) {
                         const auto div =
                             (io(jxf, i + 1, j, k) * io(thf_x_, i + 1, j, k) *
                                  io(du_, i + 1, j, k) -
@@ -366,7 +382,8 @@ class AcousticStepper {
                 io.store(tend_u_, i, j, k, io.splat(T(0)));
             });
             pgf_x_rows(grid_, dp_half_, tend_u_, jb, je);
-            for_interior_rows(jb, je, [&](auto io, Index i, Index j, Index k) {
+            for_interior_rows(jb, je, [&, dt](auto io, Index i, Index j,
+                                              Index k) {
                 io.store(du_, i, j, k,
                          io(du_, i, j, k) + dt * (io(tend_u_, i, j, k) +
                                                   io(slow.rhou, i, j, k)));
@@ -389,7 +406,8 @@ class AcousticStepper {
                 io.store(tend_v_, i, j, k, io.splat(T(0)));
             });
             pgf_y_rows(grid_, dp_half_, tend_v_, jb, je);
-            for_interior_rows(jb, je, [&](auto io, Index i, Index j, Index k) {
+            for_interior_rows(jb, je, [&, dt](auto io, Index i, Index j,
+                                              Index k) {
                 io.store(dv_, i, j, k,
                          io(dv_, i, j, k) + dt * (io(tend_v_, i, j, k) +
                                                   io(slow.rhov, i, j, k)));
@@ -459,7 +477,8 @@ class AcousticStepper {
             std::fill_n(at(fzs, 0, 0), nx, T(0));
             std::fill_n(at(fzs, nz, 0), nx, T(0));
             for (Index k = 1; k < nz; ++k) {
-                for_each_lane_chunk<T>(layout, 0, nx, [&](auto io, Index i) {
+                for_each_lane_chunk<T>(layout, 0, nx, [&, one_m_beta](
+                                                          auto io, Index i) {
                     const auto ru = T(0.25) * (io(du_, i, j, k - 1) +
                                                io(du_, i + 1, j, k - 1) +
                                                io(du_, i, j, k) +
@@ -477,7 +496,8 @@ class AcousticStepper {
             // dv3_/rv3_/cv3_ for the update kernels.
             for (Index k = 0; k < nz; ++k) {
                 const T rdz = T(1.0 / grid_.dzeta(k));
-                for_each_lane_chunk<T>(layout, 0, nx, [&](auto io, Index i) {
+                for_each_lane_chunk<T>(layout, 0, nx, [&, dt, beta, rdx, rdy,
+                                                       rdz](auto io, Index i) {
                     io.store(dv3_, i, j, k, dt * beta * rdz / io(jc, i, j, k));
                     const auto hdiv_rho =
                         (io(jxf, i + 1, j, k) * io(du_, i + 1, j, k) -
@@ -521,7 +541,9 @@ class AcousticStepper {
             for (Index k = 1; k < nz; ++k) {
                 const T dzc =
                     T(grid_.zeta_center(k) - grid_.zeta_center(k - 1));
-                for_each_lane_chunk<T>(layout, 0, nx, [&](auto io, Index i) {
+                for_each_lane_chunk<T>(layout, 0, nx, [&, dt, dzc, beta, hgb,
+                                                       one_m_beta, g](auto io,
+                                                                      Index i) {
                     const auto gk = dt / (io(jzf, i, j, k) * dzc);
                     const auto cpt_k = io(cpt_, i, j, k);
                     const auto cpt_m = io(cpt_, i, j, k - 1);
@@ -582,7 +604,8 @@ class AcousticStepper {
         const Layout layout = grid_.layout();
         for (Index j = jb; j < je; ++j)
             for (Index k = 0; k < nz; ++k)
-                for_each_lane_chunk<T>(layout, 0, nx, [&](auto io, Index i) {
+                for_each_lane_chunk<T>(layout, 0, nx, [&, body](auto io,
+                                                                Index i) {
                     body(io, i, j, k);
                 });
     }

@@ -21,6 +21,7 @@
 #include "src/core/tendencies.hpp"
 #include "src/parallel/thread_pool.hpp"
 #include "src/field/array3.hpp"
+#include "src/field/simd.hpp"
 #include "src/grid/grid.hpp"
 
 namespace asuca {
@@ -45,6 +46,8 @@ namespace detail {
 /// Laplacian-diffusion of phi = field/rho_at_loc onto tend. Works for any
 /// centered or staggered array as long as `field`, `rho_loc` and `tend`
 /// share extents; vertical derivative uses the local physical spacing.
+/// Rows run in lane chunks: rho_at(io, i, j, k) reads through the chunk's
+/// LaneAccess.
 template <class T, class RhoAt>
 void diffuse_generic(const Grid<T>& grid, const Array3<T>& field,
                      RhoAt&& rho_at, const DiffusionConfig& cfg,
@@ -55,10 +58,8 @@ void diffuse_generic(const Grid<T>& grid, const Array3<T>& field,
     const T kh = T(cfg.kh), kv = T(cfg.kv);
     const T rdx2 = T(1.0 / (grid.dx() * grid.dx()));
     const T rdy2 = T(1.0 / (grid.dy() * grid.dy()));
+    const Layout layout = grid.layout();
 
-    auto phi = [&](Index i, Index j, Index k) {
-        return field(i, j, k) / rho_at(i, j, k);
-    };
     parallel_for(ny, [&](Index jb, Index je) {
         for (Index j = jb; j < je; ++j) {
             for (Index k = k_begin; k < k_end; ++k) {
@@ -66,17 +67,25 @@ void diffuse_generic(const Grid<T>& grid, const Array3<T>& field,
                 const Index kp = k < k_end - 1 ? k + 1 : k;
                 const T dz = T(grid.dzeta(std::min<Index>(k, grid.nz() - 1)));
                 const T rdz2 = T(1) / (dz * dz);
-                for (Index i = 0; i < nx; ++i) {
-                    const T c = phi(i, j, k);
-                    const T lap_h = (phi(i + 1, j, k) - T(2) * c +
-                                     phi(i - 1, j, k)) * rdx2 +
-                                    (phi(i, j + 1, k) - T(2) * c +
-                                     phi(i, j - 1, k)) * rdy2;
-                    const T lap_v =
-                        (phi(i, j, kp) - T(2) * c + phi(i, j, km)) * rdz2;
-                    tend(i, j, k) +=
-                        rho_at(i, j, k) * (kh * lap_h + kv * lap_v);
-                }
+                for_each_lane_chunk<T>(
+                    layout, 0, nx,
+                    [&, kh, kv, rdx2, rdy2, rdz2](auto io, Index i) {
+                        auto phi = [&](Index ii, Index jj, Index kk) {
+                            return io(field, ii, jj, kk) /
+                                   rho_at(io, ii, jj, kk);
+                        };
+                        const auto c = phi(i, j, k);
+                        const auto lap_h = (phi(i + 1, j, k) - T(2) * c +
+                                            phi(i - 1, j, k)) * rdx2 +
+                                           (phi(i, j + 1, k) - T(2) * c +
+                                            phi(i, j - 1, k)) * rdy2;
+                        const auto lap_v =
+                            (phi(i, j, kp) - T(2) * c + phi(i, j, km)) * rdz2;
+                        io.store(tend, i, j, k,
+                                 io(tend, i, j, k) +
+                                     rho_at(io, i, j, k) *
+                                         (kh * lap_h + kv * lap_v));
+                    });
             }
         }
     });
@@ -94,22 +103,22 @@ void diffusion(const Grid<T>& grid, const State<T>& state,
 
     detail::diffuse_generic(
         grid, state.rhou,
-        [&](Index i, Index j, Index k) {
-            return T(0.5) * (rho(i - 1, j, k) + rho(i, j, k));
+        [&](auto io, Index i, Index j, Index k) {
+            return T(0.5) * (io(rho, i - 1, j, k) + io(rho, i, j, k));
         },
         cfg, 0, grid.nz(), tend.rhou);
     detail::diffuse_generic(
         grid, state.rhov,
-        [&](Index i, Index j, Index k) {
-            return T(0.5) * (rho(i, j - 1, k) + rho(i, j, k));
+        [&](auto io, Index i, Index j, Index k) {
+            return T(0.5) * (io(rho, i, j - 1, k) + io(rho, i, j, k));
         },
         cfg, 0, grid.nz(), tend.rhov);
     detail::diffuse_generic(
         grid, state.rhow,
-        [&](Index i, Index j, Index k) {
+        [&](auto io, Index i, Index j, Index k) {
             const Index kc = k > 0 ? k - 1 : 0;
             const Index kd = k < grid.nz() ? k : grid.nz() - 1;
-            return T(0.5) * (rho(i, j, kc) + rho(i, j, kd));
+            return T(0.5) * (io(rho, i, j, kc) + io(rho, i, j, kd));
         },
         cfg, 1, grid.nz(), tend.rhow);
 
@@ -118,10 +127,7 @@ void diffusion(const Grid<T>& grid, const State<T>& state,
     const T kh = T(cfg.kh), kv = T(cfg.kv);
     const T rdx2 = T(1.0 / (grid.dx() * grid.dx()));
     const T rdy2 = T(1.0 / (grid.dy() * grid.dy()));
-    auto th = [&](Index i, Index j, Index k) {
-        return state.rhotheta(i, j, k) / rho(i, j, k) -
-               state.rhotheta_ref(i, j, k) / state.rho_ref(i, j, k);
-    };
+    const Layout layout = grid.layout();
     parallel_for(ny, [&](Index jb, Index je) {
         for (Index j = jb; j < je; ++j) {
             for (Index k = 0; k < nz; ++k) {
@@ -129,16 +135,27 @@ void diffusion(const Grid<T>& grid, const State<T>& state,
                 const Index kp = k < nz - 1 ? k + 1 : k;
                 const T dz = T(grid.dzeta(k));
                 const T rdz2 = T(1) / (dz * dz);
-                for (Index i = 0; i < nx; ++i) {
-                    const T c = th(i, j, k);
-                    const T lap =
-                        kh * ((th(i + 1, j, k) - T(2) * c + th(i - 1, j, k)) *
-                                  rdx2 +
-                              (th(i, j + 1, k) - T(2) * c + th(i, j - 1, k)) *
-                                  rdy2) +
-                        kv * (th(i, j, kp) - T(2) * c + th(i, j, km)) * rdz2;
-                    tend.rhotheta(i, j, k) += rho(i, j, k) * lap;
-                }
+                for_each_lane_chunk<T>(
+                    layout, 0, nx,
+                    [&, kh, kv, rdx2, rdy2, rdz2](auto io, Index i) {
+                        auto th = [&](Index ii, Index jj, Index kk) {
+                            return io(state.rhotheta, ii, jj, kk) /
+                                       io(rho, ii, jj, kk) -
+                                   io(state.rhotheta_ref, ii, jj, kk) /
+                                       io(state.rho_ref, ii, jj, kk);
+                        };
+                        const auto c = th(i, j, k);
+                        const auto lap =
+                            kh * ((th(i + 1, j, k) - T(2) * c +
+                                   th(i - 1, j, k)) * rdx2 +
+                                  (th(i, j + 1, k) - T(2) * c +
+                                   th(i, j - 1, k)) * rdy2) +
+                            kv * (th(i, j, kp) - T(2) * c + th(i, j, km)) *
+                                rdz2;
+                        io.store(tend.rhotheta, i, j, k,
+                                 io(tend.rhotheta, i, j, k) +
+                                     io(rho, i, j, k) * lap);
+                    });
             }
         }
     });

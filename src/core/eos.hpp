@@ -12,6 +12,7 @@
 #include <cmath>
 
 #include "src/common/constants.hpp"
+#include "src/field/simd.hpp"
 
 namespace asuca {
 
@@ -32,8 +33,10 @@ inline T eos_rhotheta(T p) {
 }
 
 /// d p / d (rho theta_m) at the given state; the acoustic stiffness.
-template <class T>
-inline T eos_dp_drhotheta(T p, T rhotheta) {
+/// Also evaluates a Lanes<T> chunk, one value per lane.
+template <class V>
+inline V eos_dp_drhotheta(V p, V rhotheta) {
+    using T = lane_element_t<V>;
     return T(constants::gamma_d) * p / rhotheta;
 }
 

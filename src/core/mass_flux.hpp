@@ -16,6 +16,7 @@
 
 #include "src/core/state.hpp"
 #include "src/field/array3.hpp"
+#include "src/field/simd.hpp"
 #include "src/grid/grid.hpp"
 #include "src/parallel/thread_pool.hpp"
 
@@ -45,22 +46,27 @@ void compute_horizontal_mass_fluxes(const Grid<T>& grid,
     const Index e = grid.halo() - 1;  // extension ring
     const auto& jxf = grid.jacobian_xface();
     const auto& jyf = grid.jacobian_yface();
+    const Layout layout = grid.layout();
 
     parallel_for_range(-e, ny + e, [&](Index jb, Index je) {
         for (Index j = jb; j < je; ++j) {
             for (Index k = 0; k < nz; ++k) {
-                for (Index i = -e; i < nx + 1 + e; ++i) {
-                    out.fu(i, j, k) = jxf(i, j, k) * state.rhou(i, j, k);
-                }
+                for_each_lane_chunk<T>(layout, -e, nx + 1 + e, [&](auto io,
+                                                                   Index i) {
+                    io.store(out.fu, i, j, k,
+                             io(jxf, i, j, k) * io(state.rhou, i, j, k));
+                });
             }
         }
     });
     parallel_for_range(-e, ny + 1 + e, [&](Index jb, Index je) {
         for (Index j = jb; j < je; ++j) {
             for (Index k = 0; k < nz; ++k) {
-                for (Index i = -e; i < nx + e; ++i) {
-                    out.fv(i, j, k) = jyf(i, j, k) * state.rhov(i, j, k);
-                }
+                for_each_lane_chunk<T>(layout, -e, nx + e, [&](auto io,
+                                                               Index i) {
+                    io.store(out.fv, i, j, k,
+                             io(jyf, i, j, k) * io(state.rhov, i, j, k));
+                });
             }
         }
     });
@@ -74,31 +80,32 @@ void compute_contravariant_flux(const Grid<T>& grid, const State<T>& state,
     const Index e = grid.halo() - 1;
     const auto& zx = grid.slope_x_zface();
     const auto& zy = grid.slope_y_zface();
+    const Layout layout = grid.layout();
 
     parallel_for_range(-e, ny + e, [&](Index jb, Index je) {
         for (Index j = jb; j < je; ++j) {
-            for (Index k = 0; k <= nz; ++k) {
-                const bool boundary_face = (k == 0 || k == nz);
-                for (Index i = -e; i < nx + e; ++i) {
-                    if (boundary_face) {
-                        out.fz(i, j, k) = T(0);
-                        continue;
-                    }
-                    // Momentum interpolated to the z-face (average over the
-                    // 2 x-faces x 2 levels around it).
-                    const T ru =
-                        T(0.25) * (state.rhou(i, j, k - 1) +
-                                   state.rhou(i + 1, j, k - 1) +
-                                   state.rhou(i, j, k) +
-                                   state.rhou(i + 1, j, k));
-                    const T rv =
-                        T(0.25) * (state.rhov(i, j, k - 1) +
-                                   state.rhov(i, j + 1, k - 1) +
-                                   state.rhov(i, j, k) +
-                                   state.rhov(i, j + 1, k));
-                    out.fz(i, j, k) = state.rhow(i, j, k) -
-                                      ru * zx(i, j, k) - rv * zy(i, j, k);
-                }
+            // No flux through the bottom and top faces.
+            for (const Index k : {Index(0), nz})
+                for (Index i = -e; i < nx + e; ++i) out.fz(i, j, k) = T(0);
+            for (Index k = 1; k < nz; ++k) {
+                for_each_lane_chunk<T>(layout, -e, nx + e, [&](auto io,
+                                                               Index i) {
+                    // Momentum interpolated to the z-face (average over
+                    // the 2 x-faces x 2 levels around it).
+                    const auto ru =
+                        T(0.25) * (io(state.rhou, i, j, k - 1) +
+                                   io(state.rhou, i + 1, j, k - 1) +
+                                   io(state.rhou, i, j, k) +
+                                   io(state.rhou, i + 1, j, k));
+                    const auto rv =
+                        T(0.25) * (io(state.rhov, i, j, k - 1) +
+                                   io(state.rhov, i, j + 1, k - 1) +
+                                   io(state.rhov, i, j, k) +
+                                   io(state.rhov, i, j + 1, k));
+                    io.store(out.fz, i, j, k,
+                             io(state.rhow, i, j, k) - ru * io(zx, i, j, k) -
+                                 rv * io(zy, i, j, k));
+                });
             }
         }
     });

@@ -56,7 +56,8 @@ void pgf_x_rows(const Grid<T>& grid, const Array3<T>& p, Array3<T>& tend_rhou,
                 const T rdzeta =
                     T(1.0 / (grid.zeta_center(kp) - grid.zeta_center(km)));
                 const T decay = T(grid.decay(grid.zeta_center(k)));
-                for_each_lane_chunk<T>(layout, 0, nx, [&](auto io, Index i) {
+                for_each_lane_chunk<T>(layout, 0, nx, [&, rdx, rdzeta, decay](
+                                                          auto io, Index i) {
                     const auto dpdx =
                         (io(p, i, j, k) - io(p, i - 1, j, k)) * rdx;
                     // Terrain slope at the x-face, at this level.
@@ -106,7 +107,8 @@ void pgf_y_rows(const Grid<T>& grid, const Array3<T>& p, Array3<T>& tend_rhov,
                 const T rdzeta =
                     T(1.0 / (grid.zeta_center(kp) - grid.zeta_center(km)));
                 const T decay = T(grid.decay(grid.zeta_center(k)));
-                for_each_lane_chunk<T>(layout, 0, nx, [&](auto io, Index i) {
+                for_each_lane_chunk<T>(layout, 0, nx, [&, rdy, rdzeta, decay](
+                                                          auto io, Index i) {
                     const auto dpdy =
                         (io(p, i, j, k) - io(p, i, j - 1, k)) * rdy;
                     const auto zy = io(sl.data() + i) * decay;

@@ -34,6 +34,7 @@
 #include "src/core/pgf.hpp"
 #include "src/core/state.hpp"
 #include "src/core/tendencies.hpp"
+#include "src/field/simd.hpp"
 #include "src/grid/grid.hpp"
 #include "src/instrument/kernel_registry.hpp"
 #include "src/observability/metrics.hpp"
@@ -149,6 +150,7 @@ class TimeStepper {
     void compute_slow_tendencies(const State<T>& bar, Tendencies<T>& slow) {
         const Index nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
         const auto vol = static_cast<std::uint64_t>(nx * ny * nz);
+        const Layout layout = grid_.layout();
         slow.clear();
 
         compute_mass_fluxes_instrumented(bar);
@@ -209,12 +211,15 @@ class TimeStepper {
             parallel_for_range(-h, ny + h, [&](Index jb, Index je) {
                 for (Index j = jb; j < je; ++j)
                     for (Index k = -h; k < nz + h; ++k)
-                        for (Index i = -h; i < nx + h; ++i) {
-                            p_pert_(i, j, k) =
-                                bar.p(i, j, k) - bar.p_ref(i, j, k);
-                            rho_pert_(i, j, k) =
-                                bar.rho(i, j, k) - bar.rho_ref(i, j, k);
-                        }
+                        for_each_lane_chunk<T>(layout, -h, nx + h,
+                                               [&](auto io, Index i) {
+                            io.store(p_pert_, i, j, k,
+                                     io(bar.p, i, j, k) -
+                                         io(bar.p_ref, i, j, k));
+                            io.store(rho_pert_, i, j, k,
+                                     io(bar.rho, i, j, k) -
+                                         io(bar.rho_ref, i, j, k));
+                        });
             });
         }
         {
@@ -288,11 +293,15 @@ class TimeStepper {
         }
     }
 
-    /// q = q0 + dt_s * dq per active tracer (same-element safe, so
-    /// out == s0 works for the in-place final RK stage).
+    /// q = q0 + dt_s * dq per active tracer, negative values clipped to
+    /// zero by a select (same-element safe, so out == s0 works for the
+    /// in-place final RK stage).
     void update_tracers_into(const State<T>& s0, double dt_s, State<T>& out) {
         const Index nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
         if (out.tracers.empty()) return;
+        const Layout layout = grid_.layout();
+        const T dt = T(dt_s);
+        const bool clip = cfg_.clip_negative_tracers;
         parallel_for(ny, [&](Index jb, Index je) {
             for (std::size_t n = 0; n < out.tracers.size(); ++n) {
                 auto& q = out.tracers[n];
@@ -300,12 +309,16 @@ class TimeStepper {
                 const auto& dq = slow_.tracers[n];
                 for (Index j = jb; j < je; ++j)
                     for (Index k = 0; k < nz; ++k)
-                        for (Index i = 0; i < nx; ++i) {
-                            T v = q0(i, j, k) + T(dt_s) * dq(i, j, k);
-                            if (cfg_.clip_negative_tracers && v < T(0))
-                                v = T(0);
-                            q(i, j, k) = v;
-                        }
+                        for_each_lane_chunk<T>(layout, 0, nx, [&, dt](
+                                                                  auto io,
+                                                                  Index i) {
+                            auto v = io(q0, i, j, k) + dt * io(dq, i, j, k);
+                            if (clip) {
+                                const auto zero = io.splat(T(0));
+                                v = v < zero ? zero : v;
+                            }
+                            io.store(q, i, j, k, v);
+                        });
             }
         });
     }

@@ -1,13 +1,17 @@
-// Lane type for the CPU short-step kernels.
+// Lane type for the CPU dycore kernels.
 //
 // The paper's single-device contribution is a storage-order change
 // (kij -> xzy, Sec. IV-A-1) that makes neighboring vertical columns
-// adjacent in memory so a warp can march them in lockstep. The CPU
-// analogue runs each short-step kernel's per-cell expression along
-// unit-stride x rows on SIMD lanes: `Lanes<T>` holds exactly
+// adjacent in memory so a warp can march them in lockstep, and xz tiles
+// marched in y for advection (Sec. IV-A-2). The CPU analogue runs each
+// dycore kernel's per-cell expression — short step and long step alike —
+// along unit-stride x rows on SIMD lanes: `Lanes<T>` holds exactly
 // simd_lanes<T>() elements of T as a GCC/Clang vector extension, and
 // for_each_lane_chunk feeds a kernel body whole lane chunks of a row and
-// then a scalar remainder, through the same body.
+// then a scalar remainder, through the same body. `MultiLane`,
+// `lane_splat` and `all_lanes` let a body that needs a select (the
+// branch-free Koren limiter of core/limiter.hpp, the tracer clip) name
+// the lane type.
 //
 // The lane type is explicit because the compiler does not vectorize the
 // plain loops: GCC 12 at -O2 (the build's flags) uses the `very-cheap`
@@ -20,12 +24,13 @@
 // Every lane runs the one-cell operation sequence of the scalar code
 // (vector arithmetic is IEEE per lane), so lane chunks, the remainder and
 // the kij gather give bitwise-identical results on targets without
-// implicit FMA contraction (see the -DASUCA_NATIVE_ARCH note in
-// DESIGN.md). Any other T (the CountingReal FLOP counter) gets width 1,
-// so calibration counts the same per-cell arithmetic.
+// implicit FMA contraction (-mavx2 included; see the -DASUCA_NATIVE_ARCH
+// note in DESIGN.md). Any other T (the CountingReal FLOP counter) gets
+// width 1, so calibration counts the same per-cell arithmetic.
 #pragma once
 
 #include <type_traits>
+#include <utility>
 
 #include "src/common/types.hpp"
 #include "src/field/array3.hpp"
@@ -77,6 +82,52 @@ using Lanes = typename detail::LaneVector<T>::type;
 /// Elements of T in a value of lane type V (1 when V is T).
 template <class V, class T>
 constexpr Index lane_count = static_cast<Index>(sizeof(V) / sizeof(T));
+
+/// A Lanes<T> of more than one element (a vector extension); T itself,
+/// including the CountingReal counter, is not.
+template <class V>
+concept MultiLane = requires(V v) { v[0]; };
+
+namespace detail {
+template <class V>
+struct LaneElement {
+    using type = V;
+};
+template <MultiLane V>
+struct LaneElement<V> {
+    using type = std::remove_cvref_t<decltype(std::declval<V>()[0])>;
+};
+}  // namespace detail
+
+/// The element type of lane type V (V itself when V is a scalar).
+template <class V>
+using lane_element_t = typename detail::LaneElement<V>::type;
+
+/// Every lane of V set to x.
+template <class V>
+inline V lane_splat(lane_element_t<V> x) {
+    if constexpr (MultiLane<V>) {
+        V v{};
+        for (Index l = 0; l < lane_count<V, lane_element_t<V>>; ++l) v[l] = x;
+        return v;
+    } else {
+        return x;
+    }
+}
+
+/// Whether every lane of a lane comparison is true (a scalar comparison
+/// is its own bool).
+template <class M>
+inline bool all_lanes(M mask) {
+    if constexpr (std::is_same_v<M, bool>) {
+        return mask;
+    } else {
+        for (Index l = 0; l < static_cast<Index>(sizeof(M) / sizeof(mask[0]));
+             ++l)
+            if (!mask[l]) return false;
+        return true;
+    }
+}
 
 /// The lane width the short-step kernels run at, whatever the argument.
 /// Kept only because the benchmark envelope records it under this name.
@@ -136,16 +187,7 @@ struct LaneAccess {
         store_lanes(row, 1, v);
     }
     /// Every lane set to x.
-    template <class T>
-    V splat(T x) const {
-        if constexpr (std::is_same_v<V, T>) {
-            return x;
-        } else {
-            V v{};
-            for (Index l = 0; l < lane_count<V, T>; ++l) v[l] = x;
-            return v;
-        }
-    }
+    V splat(lane_element_t<V> x) const { return lane_splat<V>(x); }
 
   private:
     /// Address of a(i, j, k). Under xzy the x stride is 1, so the row
@@ -163,9 +205,13 @@ struct LaneAccess {
 namespace detail {
 // flatten: the body, its LaneAccess calls and their Array3 accessors are
 // inlined into the chunk loops (GCC's -O2 inliner otherwise leaves the
-// accessors of a large kernel body out of line).
+// accessors of a large kernel body out of line). The body is taken by
+// value: a local closure whose address does not escape is split into
+// registers, so the scalars it captured by value are loaded once per
+// row. Through a reference, a lane store (which may alias any T) would
+// force each one to be reloaded and re-broadcast in every chunk.
 template <class T, bool UnitX, class Body>
-[[gnu::flatten]] inline void lane_chunks(Index i0, Index i1, Body& body) {
+[[gnu::flatten]] inline void lane_chunks(Index i0, Index i1, Body body) {
     using V = Lanes<T>;
     constexpr Index L = lane_count<V, T>;
     Index i = i0;
@@ -178,7 +224,8 @@ template <class T, bool UnitX, class Body>
 /// Lanes<T> chunks starting at i0, then the scalar remainder, so no load
 /// reaches outside the row. `io` is a LaneAccess, and the body writes its
 /// per-cell expression once in terms of it. Arrays stored in `layout`
-/// are read unit-stride (xzy) or gathered (kij).
+/// are read unit-stride (xzy) or gathered (kij). A body captures the
+/// per-row T scalars it reads by value (see lane_chunks).
 template <class T, class Body>
 inline void for_each_lane_chunk(Layout layout, Index i0, Index i1,
                                 Body&& body) {

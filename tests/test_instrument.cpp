@@ -124,5 +124,31 @@ TEST(Calibration, ShortStepFlopsPerElementUnchanged) {
     EXPECT_EQ(fpe("pressure_update"), 1.0);
 }
 
+TEST(Calibration, LongStepFlopsPerElementUnchanged) {
+    // The long-step kernels run on SIMD lanes too, with a branch-free
+    // lane limiter. The calibration runs CountingReal at width 1, which
+    // keeps the branchy scalar limiter and the per-cell arithmetic of the
+    // scalar loops, so these counts are pinned exactly as well.
+    const auto cal = calibrate_flops(benchmark_model_config(), {16, 12, 12});
+    auto fpe = [&](const char* name) {
+        for (const auto& r : cal.records)
+            if (r.name == name) return r.flops_per_element();
+        return 0.0;
+    };
+    EXPECT_EQ(fpe("acoustic_prepare"), 23.138888888888889);
+    EXPECT_EQ(fpe("advection_momentum_x"), 53.111111111111114);
+    EXPECT_EQ(fpe("advection_momentum_y"), 42.125);
+    EXPECT_EQ(fpe("advection_momentum_z"), 51.336805555555557);
+    EXPECT_EQ(fpe("advection_theta"), 42.638888888888886);
+    EXPECT_EQ(fpe("advection_qv"), 42.638888888888886);
+    EXPECT_EQ(fpe("advection_qc"), 27.666666666666668);
+    EXPECT_EQ(fpe("advection_qr"), 27.666666666666668);
+    EXPECT_EQ(fpe("diffusion"), 159.07291666666666);
+    EXPECT_EQ(fpe("continuity"), 10.0);
+    EXPECT_EQ(fpe("contravariant_w"), 10.153846153846153);
+    EXPECT_EQ(fpe("coordinate_transform"), 1.0);
+    EXPECT_EQ(fpe("perturbation_fields"), 6.1875);
+}
+
 }  // namespace
 }  // namespace asuca
