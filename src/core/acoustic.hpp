@@ -24,6 +24,7 @@
 #pragma once
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "src/common/constants.hpp"
@@ -74,10 +75,6 @@ class AcousticStepper {
           dth_(center_shape(grid), grid.halo(), grid.layout()),
           dp_(center_shape(grid), grid.halo(), grid.layout()),
           dp_half_(center_shape(grid), grid.halo(), grid.layout()),
-          tend_u_({grid.nx() + 1, grid.ny(), grid.nz()}, grid.halo(),
-                  grid.layout()),
-          tend_v_({grid.nx(), grid.ny() + 1, grid.nz()}, grid.halo(),
-                  grid.layout()),
           cv3_(center_shape(grid), grid.halo(), grid.layout()),
           rv3_(center_shape(grid), grid.halo(), grid.layout()),
           dv3_(center_shape(grid), grid.halo(), grid.layout()) {
@@ -86,8 +83,8 @@ class AcousticStepper {
                           << config.beta);
     }
 
-    /// Freeze the linearization coefficients at the RK-stage state. Rows
-    /// run in lane chunks, as the short-step kernels do.
+    /// Freeze the linearization coefficients at the RK-stage state, in one
+    /// region. Rows run in lane chunks, as the short-step kernels do.
     void prepare(const State<T>& bar) {
         const Index nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
         const Index h = grid_.halo();
@@ -99,42 +96,6 @@ class AcousticStepper {
         };
         parallel_for_range(-h + 1, ny + h - 1, [&](Index jb, Index je) {
             for (Index j = jb; j < je; ++j) {
-                for (Index k = 0; k < nz; ++k) {
-                    for_each_lane_chunk<T>(layout, -h + 1, nx + h - 1,
-                                           [&](auto io, Index i) {
-                        io.store(cpt_, i, j, k,
-                                 eos_dp_drhotheta(io(bar.p, i, j, k),
-                                                  io(bar.rhotheta, i, j, k)));
-                    });
-                }
-            }
-        });
-        parallel_for_range(-h + 1, ny + h - 1, [&](Index jb, Index je) {
-            for (Index j = jb; j < je; ++j) {
-                for (Index k = 0; k < nz; ++k) {
-                    for_each_lane_chunk<T>(layout, -h + 2, nx + h - 1,
-                                           [&](auto io, Index i) {
-                        io.store(thf_x_, i, j, k,
-                                 T(0.5) * (theta(io, i - 1, j, k) +
-                                           theta(io, i, j, k)));
-                    });
-                }
-            }
-        });
-        parallel_for_range(-h + 2, ny + h - 1, [&](Index jb, Index je) {
-            for (Index j = jb; j < je; ++j) {
-                for (Index k = 0; k < nz; ++k) {
-                    for_each_lane_chunk<T>(layout, -h + 1, nx + h - 1,
-                                           [&](auto io, Index i) {
-                        io.store(thf_y_, i, j, k,
-                                 T(0.5) * (theta(io, i, j - 1, k) +
-                                           theta(io, i, j, k)));
-                    });
-                }
-            }
-        });
-        parallel_for_range(-h + 1, ny + h - 1, [&](Index jb, Index je) {
-            for (Index j = jb; j < je; ++j) {
                 for (Index k = 0; k <= nz; ++k) {
                     const Index km = k > 0 ? k - 1 : 0;
                     const Index kc = k < nz ? k : nz - 1;
@@ -143,6 +104,27 @@ class AcousticStepper {
                         io.store(thf_z_, i, j, k,
                                  T(0.5) * (theta(io, i, j, km) +
                                            theta(io, i, j, kc)));
+                    });
+                    if (k == nz) continue;
+                    for_each_lane_chunk<T>(layout, -h + 1, nx + h - 1,
+                                           [&](auto io, Index i) {
+                        io.store(cpt_, i, j, k,
+                                 eos_dp_drhotheta(io(bar.p, i, j, k),
+                                                  io(bar.rhotheta, i, j, k)));
+                    });
+                    for_each_lane_chunk<T>(layout, -h + 2, nx + h - 1,
+                                           [&](auto io, Index i) {
+                        io.store(thf_x_, i, j, k,
+                                 T(0.5) * (theta(io, i - 1, j, k) +
+                                           theta(io, i, j, k)));
+                    });
+                    // thf_y covers the rows [-h + 2, ny + h - 1).
+                    if (j == -h + 1) continue;
+                    for_each_lane_chunk<T>(layout, -h + 1, nx + h - 1,
+                                           [&](auto io, Index i) {
+                        io.store(thf_y_, i, j, k,
+                                 T(0.5) * (theta(io, i, j - 1, k) +
+                                           theta(io, i, j, k)));
                     });
                 }
             }
@@ -153,17 +135,23 @@ class AcousticStepper {
     /// linearization state (zero on the first RK stage), over every padded
     /// cell, so each stage starts from fresh deviation halos.
     void init_deviations(const State<T>& now, const State<T>& bar) {
+        const Index nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
         const Index h = grid_.halo();
-        parallel_for_range(-h, grid_.ny() + 1 + h, [&](Index jb, Index je) {
-            diff_rows(now.rhou, bar.rhou, du_, jb, je);
-            diff_rows(now.rhov, bar.rhov, dv_, jb, je);
-            diff_rows(now.rhow, bar.rhow, dw_, jb, je);
-            diff_rows(now.rho, bar.rho, drho_, jb, je);
-            diff_rows(now.rhotheta, bar.rhotheta, dth_, jb, je);
-            for (Index j = jb; j < std::min(je, grid_.ny() + h); ++j)
-                for (Index k = 0; k < grid_.nz(); ++k)
-                    for (Index i = -h; i < grid_.nx() + h; ++i)
-                        dp_(i, j, k) = cpt_(i, j, k) * dth_(i, j, k);
+        const Layout layout = grid_.layout();
+        parallel_for_range(-h, ny + 1 + h, [&](Index jb, Index je) {
+            combine_rows(now.rhou, bar.rhou, du_, jb, je, std::minus<>{});
+            combine_rows(now.rhov, bar.rhov, dv_, jb, je, std::minus<>{});
+            combine_rows(now.rhow, bar.rhow, dw_, jb, je, std::minus<>{});
+            combine_rows(now.rho, bar.rho, drho_, jb, je, std::minus<>{});
+            combine_rows(now.rhotheta, bar.rhotheta, dth_, jb, je,
+                         std::minus<>{});
+            for (Index j = jb; j < std::min(je, ny + h); ++j)
+                for (Index k = 0; k < nz; ++k)
+                    for_each_lane_chunk<T>(layout, -h, nx + h,
+                                           [&](auto io, Index i) {
+                        io.store(dp_, i, j, k,
+                                 io(cpt_, i, j, k) * io(dth_, i, j, k));
+                    });
         });
     }
 
@@ -192,11 +180,12 @@ class AcousticStepper {
     void finalize(const State<T>& bar, State<T>& out) const {
         const Index h = grid_.halo();
         parallel_for_range(-h, grid_.ny() + 1 + h, [&](Index jb, Index je) {
-            sum_rows(bar.rhou, du_, out.rhou, jb, je);
-            sum_rows(bar.rhov, dv_, out.rhov, jb, je);
-            sum_rows(bar.rhow, dw_, out.rhow, jb, je);
-            sum_rows(bar.rho, drho_, out.rho, jb, je);
-            sum_rows(bar.rhotheta, dth_, out.rhotheta, jb, je);
+            combine_rows(bar.rhou, du_, out.rhou, jb, je, std::plus<>{});
+            combine_rows(bar.rhov, dv_, out.rhov, jb, je, std::plus<>{});
+            combine_rows(bar.rhow, dw_, out.rhow, jb, je, std::plus<>{});
+            combine_rows(bar.rho, drho_, out.rho, jb, je, std::plus<>{});
+            combine_rows(bar.rhotheta, dth_, out.rhotheta, jb, je,
+                         std::plus<>{});
         });
         const Index nx = grid_.nx(), ny = grid_.ny(), nz = grid_.nz();
         KernelScope scope("eos_pressure", {/*reads=*/1, /*writes=*/1, 0},
@@ -231,25 +220,19 @@ class AcousticStepper {
         return {g.nx(), g.ny(), g.nz()};
     }
 
-    /// out = a - b over the padded rows [jb, je) that `a` has.
-    template <class A>
-    static void diff_rows(const A& a, const A& b, A& out, Index jb,
-                          Index je) {
-        const Index h = a.halo();
-        for (Index j = jb; j < std::min(je, a.ny() + h); ++j)
-            for (Index k = -h; k < a.nz() + h; ++k)
-                for (Index i = -h; i < a.nx() + h; ++i)
-                    out(i, j, k) = a(i, j, k) - b(i, j, k);
-    }
-    /// out = a + d over the padded rows [jb, je) that `a` has.
-    template <class A>
-    static void sum_rows(const A& a, const A& d, A& out, Index jb,
-                         Index je) {
-        const Index h = a.halo();
-        for (Index j = jb; j < std::min(je, a.ny() + h); ++j)
-            for (Index k = -h; k < a.nz() + h; ++k)
-                for (Index i = -h; i < a.nx() + h; ++i)
-                    out(i, j, k) = a(i, j, k) + d(i, j, k);
+    /// out = op(a, b) over the padded rows [jb, je) that `a` has: every
+    /// cell of those y planes, one contiguous block in either layout, in
+    /// lane chunks.
+    template <class Op>
+    static void combine_rows(const Array3<T>& a, const Array3<T>& b,
+                             Array3<T>& out, Index jb, Index je, Op op) {
+        const auto [first, last] = plane_range(a, jb, je);
+        const T* pa = a.data();
+        const T* pb = b.data();
+        T* po = out.data();
+        for_each_lane_chunk<T>(first, last, [=](auto io, Index x) {
+            io.store(po + x, op(io(pa + x), io(pb + x)));
+        });
     }
 
   public:
@@ -374,21 +357,7 @@ class AcousticStepper {
         const Index nx = grid_.nx(), nz = grid_.nz();
         KernelScope scope("pgf_x_short", {/*reads=*/4, /*writes=*/1, 16},
                           static_cast<std::uint64_t>(nx * (j1 - j0) * nz));
-        // Zero, accumulate and update touch only their own row, so one
-        // region runs all three per j-slab (pgf_x_rows nests inline).
-        const T dt = T(dtau);
-        parallel_for_range(j0, j1, [&](Index jb, Index je) {
-            for_interior_rows(jb, je, [&](auto io, Index i, Index j, Index k) {
-                io.store(tend_u_, i, j, k, io.splat(T(0)));
-            });
-            pgf_x_rows(grid_, dp_half_, tend_u_, jb, je);
-            for_interior_rows(jb, je, [&, dt](auto io, Index i, Index j,
-                                              Index k) {
-                io.store(du_, i, j, k,
-                         io(du_, i, j, k) + dt * (io(tend_u_, i, j, k) +
-                                                  io(slow.rhou, i, j, k)));
-            });
-        });
+        momentum_rows<0>(slow.rhou, du_, dtau, j0, j1);
     }
 
     /// y-momentum update restricted to face rows [j0, j1). Face row j
@@ -399,20 +368,7 @@ class AcousticStepper {
         const Index nx = grid_.nx(), nz = grid_.nz();
         KernelScope scope("pgf_y_short", {/*reads=*/4, /*writes=*/1, 16},
                           static_cast<std::uint64_t>(nx * (j1 - j0) * nz));
-        // One region per j-slab, as in phase_momentum_x_rows.
-        const T dt = T(dtau);
-        parallel_for_range(j0, j1, [&](Index jb, Index je) {
-            for_interior_rows(jb, je, [&](auto io, Index i, Index j, Index k) {
-                io.store(tend_v_, i, j, k, io.splat(T(0)));
-            });
-            pgf_y_rows(grid_, dp_half_, tend_v_, jb, je);
-            for_interior_rows(jb, je, [&, dt](auto io, Index i, Index j,
-                                              Index k) {
-                io.store(dv_, i, j, k,
-                         io(dv_, i, j, k) + dt * (io(tend_v_, i, j, k) +
-                                                  io(slow.rhov, i, j, k)));
-            });
-        });
+        momentum_rows<1>(slow.rhov, dv_, dtau, j0, j1);
     }
 
     /// The bottom kinematic condition for the deviation field; requires
@@ -610,6 +566,26 @@ class AcousticStepper {
                 });
     }
 
+    /// du (Axis 0) or dv (Axis 1) += dt * (-pgf + slow) over the face rows
+    /// [j0, j1), the midpoint PGF computed in the same lane pass. The
+    /// tendency starts from an explicit zero, as an accumulated one would,
+    /// so a zero PGF term gives +0 and not -0.
+    template <int Axis>
+    void momentum_rows(const Array3<T>& slow_rhon, Array3<T>& dn,
+                       double dtau, Index j0, Index j1) {
+        const T dt = T(dtau);
+        parallel_for_range(j0, j1, [&](Index jb, Index je) {
+            detail::for_each_pgf_face<Axis>(
+                grid_, dp_half_, jb, je,
+                [&, dt](auto io, Index i, Index j, Index k, auto term) {
+                    const auto tend = io.splat(T(0)) - term;
+                    io.store(dn, i, j, k,
+                             io(dn, i, j, k) +
+                                 dt * (tend + io(slow_rhon, i, j, k)));
+                });
+        });
+    }
+
     /// New rho' and theta' of one lane chunk from the explicit parts the
     /// sweep kept and the new W' (zero at the bottom and top faces).
     template <class IO>
@@ -695,7 +671,7 @@ class AcousticStepper {
     // Deviations.
     Array3<T> du_, dv_, dw_, drho_, dth_, dp_;
     // Workspace.
-    Array3<T> dp_half_, tend_u_, tend_v_;
+    Array3<T> dp_half_;
     Array3<T> cv3_, rv3_, dv3_;  ///< explicit parts of the implicit update
 };
 

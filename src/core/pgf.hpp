@@ -24,6 +24,71 @@
 
 namespace asuca {
 
+namespace detail {
+
+/// Run body(io, i, j, k, term) over the faces [0, nx) of rows [jb, je)
+/// normal to x (Axis 0) or y (Axis 1) in lane chunks, where term is the
+/// per-cell pressure gradient dp/dn|_zeta - (zn / J) dp/dzeta, so -term
+/// is -dp/dn|_z. Face (i, j) lies between pressure cells (i, j) and
+/// (i - 1, j) for x, (i, j - 1) for y. The slow-step accumulate below
+/// and the acoustic momentum update (AcousticStepper) both run it.
+template <int Axis, class T, class Body>
+void for_each_pgf_face(const Grid<T>& grid, const Array3<T>& p, Index jb,
+                       Index je, Body body) {
+    static_assert(Axis == 0 || Axis == 1);
+    constexpr Index di = Axis == 0 ? 1 : 0;
+    constexpr Index dj = 1 - di;
+    const Index nx = grid.nx(), nz = grid.nz();
+    const T rdn = T(1.0 / (Axis == 0 ? grid.dx() : grid.dy()));
+    const auto& jf =
+        Axis == 0 ? grid.jacobian_xface() : grid.jacobian_yface();
+    const auto& hs = grid.hsurf();
+    const Layout layout = grid.layout();
+    // Surface slope at the faces of one row, hoisted out of the k loop
+    // (the slope is level-independent before the decay factor).
+    std::vector<T> sl(static_cast<std::size_t>(nx));
+    for (Index j = jb; j < je; ++j) {
+        for (Index i = 0; i < nx; ++i)
+            sl[i] = (hs(i, j) - hs(i - di, j - dj)) * rdn;
+        for (Index k = 0; k < nz; ++k) {
+            // zeta derivative spacing (centered; one-sided at the ends).
+            const Index km = (k > 0) ? k - 1 : k;
+            const Index kp = (k < nz - 1) ? k + 1 : k;
+            const T rdzeta =
+                T(1.0 / (grid.zeta_center(kp) - grid.zeta_center(km)));
+            const T decay = T(grid.decay(grid.zeta_center(k)));
+            for_each_lane_chunk<T>(layout, 0, nx, [&, body, rdn, rdzeta,
+                                                   decay](auto io, Index i) {
+                const auto dpdn =
+                    (io(p, i, j, k) - io(p, i - di, j - dj, k)) * rdn;
+                // Terrain slope at the face, at this level.
+                const auto zn = io(sl.data() + i) * decay;
+                const auto dpdzeta =
+                    T(0.5) *
+                    ((io(p, i - di, j - dj, kp) - io(p, i - di, j - dj, km)) +
+                     (io(p, i, j, kp) - io(p, i, j, km))) *
+                    rdzeta;
+                body(io, i, j, k, dpdn - zn / io(jf, i, j, k) * dpdzeta);
+            });
+        }
+    }
+}
+
+/// tend -= term over the faces of rows [j0, j1) normal to Axis.
+template <int Axis, class T>
+void accumulate_pgf_rows(const Grid<T>& grid, const Array3<T>& p,
+                         Array3<T>& tend, Index j0, Index j1) {
+    parallel_for_range(j0, j1, [&](Index jb, Index je) {
+        for_each_pgf_face<Axis>(grid, p, jb, je, [&](auto io, Index i,
+                                                     Index j, Index k,
+                                                     auto term) {
+            io.store(tend, i, j, k, io(tend, i, j, k) - term);
+        });
+    });
+}
+
+}  // namespace detail
+
 /// Accumulate -dp/dx|_z onto the rho*u tendency at x-faces of rows
 /// [j0, j1). Region-restricted entry point: the overlapped multi-domain
 /// runner launches it separately on boundary strips and the interior so
@@ -36,44 +101,7 @@ namespace asuca {
 template <class T>
 void pgf_x_rows(const Grid<T>& grid, const Array3<T>& p, Array3<T>& tend_rhou,
                 Index j0, Index j1) {
-    const Index nx = grid.nx(), nz = grid.nz();
-    const T rdx = T(1.0 / grid.dx());
-    const auto& jxf = grid.jacobian_xface();
-    const auto& hs = grid.hsurf();
-    const Layout layout = grid.layout();
-
-    parallel_for_range(j0, j1, [&](Index jb, Index je) {
-        // Surface slope at the x-faces of one row, hoisted out of the k
-        // loop (the slope is level-independent before the decay factor).
-        std::vector<T> sl(static_cast<std::size_t>(nx));
-        for (Index j = jb; j < je; ++j) {
-            for (Index i = 0; i < nx; ++i)
-                sl[i] = (hs(i, j) - hs(i - 1, j)) * rdx;
-            for (Index k = 0; k < nz; ++k) {
-                // zeta derivative spacing (centered; one-sided at the ends).
-                const Index km = (k > 0) ? k - 1 : k;
-                const Index kp = (k < nz - 1) ? k + 1 : k;
-                const T rdzeta =
-                    T(1.0 / (grid.zeta_center(kp) - grid.zeta_center(km)));
-                const T decay = T(grid.decay(grid.zeta_center(k)));
-                for_each_lane_chunk<T>(layout, 0, nx, [&, rdx, rdzeta, decay](
-                                                          auto io, Index i) {
-                    const auto dpdx =
-                        (io(p, i, j, k) - io(p, i - 1, j, k)) * rdx;
-                    // Terrain slope at the x-face, at this level.
-                    const auto zx = io(sl.data() + i) * decay;
-                    const auto dpdzeta =
-                        T(0.5) *
-                        ((io(p, i - 1, j, kp) - io(p, i - 1, j, km)) +
-                         (io(p, i, j, kp) - io(p, i, j, km))) *
-                        rdzeta;
-                    io.store(tend_rhou, i, j, k,
-                             io(tend_rhou, i, j, k) -
-                                 (dpdx - zx / io(jxf, i, j, k) * dpdzeta));
-                });
-            }
-        }
-    });
+    detail::accumulate_pgf_rows<0>(grid, p, tend_rhou, j0, j1);
 }
 
 /// Accumulate -dp/dx|_z onto the rho*u tendency at interior x-faces.
@@ -90,40 +118,7 @@ void pgf_x(const Grid<T>& grid, const Array3<T>& p, Array3<T>& tend_rhou) {
 template <class T>
 void pgf_y_rows(const Grid<T>& grid, const Array3<T>& p, Array3<T>& tend_rhov,
                 Index j0, Index j1) {
-    const Index nx = grid.nx(), nz = grid.nz();
-    const T rdy = T(1.0 / grid.dy());
-    const auto& jyf = grid.jacobian_yface();
-    const auto& hs = grid.hsurf();
-    const Layout layout = grid.layout();
-
-    parallel_for_range(j0, j1, [&](Index jb, Index je) {
-        std::vector<T> sl(static_cast<std::size_t>(nx));
-        for (Index j = jb; j < je; ++j) {
-            for (Index i = 0; i < nx; ++i)
-                sl[i] = (hs(i, j) - hs(i, j - 1)) * rdy;
-            for (Index k = 0; k < nz; ++k) {
-                const Index km = (k > 0) ? k - 1 : k;
-                const Index kp = (k < nz - 1) ? k + 1 : k;
-                const T rdzeta =
-                    T(1.0 / (grid.zeta_center(kp) - grid.zeta_center(km)));
-                const T decay = T(grid.decay(grid.zeta_center(k)));
-                for_each_lane_chunk<T>(layout, 0, nx, [&, rdy, rdzeta, decay](
-                                                          auto io, Index i) {
-                    const auto dpdy =
-                        (io(p, i, j, k) - io(p, i, j - 1, k)) * rdy;
-                    const auto zy = io(sl.data() + i) * decay;
-                    const auto dpdzeta =
-                        T(0.5) *
-                        ((io(p, i, j - 1, kp) - io(p, i, j - 1, km)) +
-                         (io(p, i, j, kp) - io(p, i, j, km))) *
-                        rdzeta;
-                    io.store(tend_rhov, i, j, k,
-                             io(tend_rhov, i, j, k) -
-                                 (dpdy - zy / io(jyf, i, j, k) * dpdzeta));
-                });
-            }
-        }
-    });
+    detail::accumulate_pgf_rows<1>(grid, p, tend_rhov, j0, j1);
 }
 
 /// Accumulate -dp/dy|_z onto the rho*v tendency at interior y-faces.

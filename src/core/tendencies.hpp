@@ -3,6 +3,7 @@
 // the long time step.
 #pragma once
 
+#include <algorithm>
 #include <vector>
 
 #include "src/core/state.hpp"
@@ -28,13 +29,23 @@ struct Tendencies {
         }
     }
 
+    /// Zero every tendency (halos included) in one region: each j-slab
+    /// clears its padded y planes of every array.
     void clear() {
-        fill_parallel(rho, T(0));
-        fill_parallel(rhou, T(0));
-        fill_parallel(rhov, T(0));
-        fill_parallel(rhow, T(0));
-        fill_parallel(rhotheta, T(0));
-        for (auto& t : tracers) fill_parallel(t, T(0));
+        const Index h = rho.halo();
+        // rhov has the one extra face row.
+        parallel_for_range(-h, rhov.ny() + h, [&](Index jb, Index je) {
+            auto zero = [&](Array3<T>& a) {
+                const auto [first, last] = plane_range(a, jb, je);
+                std::fill(a.data() + first, a.data() + last, T(0));
+            };
+            zero(rho);
+            zero(rhou);
+            zero(rhov);
+            zero(rhow);
+            zero(rhotheta);
+            for (auto& t : tracers) zero(t);
+        });
     }
 
     Array3<T> rho, rhou, rhov, rhow, rhotheta;

@@ -326,17 +326,25 @@ class TimeStepper {
     /// First call: full copy so the workspace carries what no stage
     /// writes (reference fields, z-halo content of p and the tracers).
     /// Later calls only refresh the reference fields, in case the caller
-    /// rebalanced them.
+    /// rebalanced them, as one parallel copy of their padded y planes.
     void sync_stage_workspace(const State<T>& state) {
         if (!work_synced_) {
             work_ = state;
             work_synced_ = true;
             return;
         }
-        work_.rho_ref = state.rho_ref;
-        work_.p_ref = state.p_ref;
-        work_.rhotheta_ref = state.rhotheta_ref;
-        work_.cs2 = state.cs2;
+        const Index h = grid_.halo();
+        parallel_for_range(-h, grid_.ny() + h, [&](Index jb, Index je) {
+            auto copy = [&](const Array3<T>& from, Array3<T>& to) {
+                const auto [first, last] = plane_range(from, jb, je);
+                std::copy(from.data() + first, from.data() + last,
+                          to.data() + first);
+            };
+            copy(state.rho_ref, work_.rho_ref);
+            copy(state.p_ref, work_.p_ref);
+            copy(state.rhotheta_ref, work_.rhotheta_ref);
+            copy(state.cs2, work_.cs2);
+        });
     }
 
     const Grid<T>& grid_;

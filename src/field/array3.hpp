@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "src/common/error.hpp"
@@ -109,15 +110,19 @@ class Array3 {
     std::vector<T> data_;
 };
 
-/// Parallel fill over the flat storage (interior + halos). Used by the hot
-/// per-step workspace clears; value-identical to Array3::fill for any
-/// thread count.
+/// Flat storage range [first, last) of the padded y planes [jb, je) of
+/// `a` (logical j, halo rows negative), clamped to the planes `a` has.
+/// Both layouts store j outermost, so those planes are one contiguous
+/// block: per-plane fills, copies and elementwise updates over whole
+/// padded rows run on it directly.
 template <class T>
-void fill_parallel(Array3<T>& a, T value) {
-    T* p = a.data();
-    parallel_for(static_cast<Index>(a.size()), [&](Index b, Index e) {
-        std::fill(p + b, p + e, value);
-    });
+std::pair<Index, Index> plane_range(const Array3<T>& a, Index jb, Index je) {
+    const Index h = a.halo();
+    jb = std::max(jb, -h);
+    je = std::min(je, a.ny() + h);
+    if (je <= jb) return {0, 0};
+    const Index sy = a.strides().sy;
+    return {(jb + h) * sy, (je + h) * sy};
 }
 
 /// Maximum absolute difference over the interiors of two same-shaped arrays

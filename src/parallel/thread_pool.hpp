@@ -5,29 +5,67 @@
 // Design goals, in order:
 //   * zero allocation on the `parallel_for` hot path — the loop body is
 //     passed through a type-erased trampoline (a function pointer plus the
-//     caller's stack address), never wrapped in a std::function;
-//   * atomic chunk-claiming — workers grab chunks with one fetch_add each
-//     instead of popping a mutex-guarded queue, so the per-chunk cost is a
-//     single RMW;
-//   * graceful degradation — trip counts too small to amortize the worker
-//     wake-up, single-threaded pools, and *nested* parallel_for calls all
-//     run the body inline on the calling thread (nesting arises naturally
-//     when a parallelized kernel calls another parallelized helper);
+//     caller's stack address), never wrapped in a std::function, and the
+//     claim words are allocated with the pool;
+//   * a region costs a few atomic operations while the pool is busy —
+//     idle threads spin on an atomic sequence number for kSpinBudget
+//     before they park on a condition variable, and nobody is woken
+//     through the kernel unless someone parked;
+//   * owner-first claiming — chunk c belongs to thread c / per_thread, so
+//     consecutive regions over the same j-range give each thread the same
+//     j-slab (and its cache lines); a thread runs its own chunks first and
+//     then steals the unclaimed chunks of the others;
+//   * graceful degradation — trip counts too small to amortize a region,
+//     single-threaded pools, and *nested* parallel_for calls all run the
+//     body inline on the calling thread (nesting arises naturally when a
+//     parallelized kernel calls another parallelized helper);
 //   * deterministic decomposition — chunk boundaries depend only on the
-//     trip count and the pool width, never on timing, and no parallelized
-//     loop in the model reduces across chunks, so results are bit-identical
-//     for any thread count.
+//     trip count and the pool width, never on timing or on which thread
+//     runs a chunk, and no parallelized loop in the model reduces across
+//     chunks, so results are bit-identical for any thread count.
 //
-// The blocking structure (mutex + condition variables) is only touched at
-// region boundaries: once to publish a region and wake the workers, and
-// once per worker to attach/detach. Exceptions thrown by loop bodies are
-// captured and rethrown on the calling thread.
+// Region protocol. `seq_` is odd while a region is open and even while
+// the pool is idle; all operations on seq_ and active_ are seq_cst.
+//   publish  The caller (thread 0) writes the region fields and resets
+//            the claim words while seq_ is even, then stores seq_ = s
+//            (odd). Workers that load s see those writes.
+//   attach   A worker that sees an odd s it has not worked on increments
+//            active_, then loads seq_ again; unless it still reads s it
+//            decrements active_ and goes back to waiting without reading
+//            the region fields or claim words.
+//   claim    Thread t owns claim word t, which counts the claimed chunks
+//            of its slab [t*per_thread, (t+1)*per_thread). It claims with
+//            fetch_add on its own word until the slab is exhausted, then
+//            on the other threads' words in turn.
+//   close    When the caller's own claim pass ends, every chunk has been
+//            claimed. It stores seq_ = s + 1 and waits for active_ == 0;
+//            workers detach only after their last claimed chunk returns,
+//            so the region is then complete.
+// A worker that wakes late never touches a finished region: if its
+// re-check after attaching read s, its increment precedes the close in
+// the seq_cst order, so the caller's wait counts it and the region stays
+// alive until it detaches; otherwise it leaves without reading anything.
+// Nor does it touch the next region's claim words: those are reset only
+// after active_ has drained, and a worker attached to an earlier sequence
+// number has detached by then or fails its re-check.
+//
+// Waiting (workers for the next region, the caller for active_ == 0)
+// spins with a pause instruction and a yield every kSpinsPerYield rounds
+// for kSpinBudget, then parks on a condition variable. A parked thread
+// counts itself before it re-checks under the mutex; a waker changes the
+// state first and notifies under the mutex only when that count is
+// nonzero, so no wake-up is lost and a busy pool makes no futex call.
+// Exceptions thrown by loop bodies are captured (the first one wins) and
+// rethrown on the calling thread once the region is complete.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -46,11 +84,17 @@ class ThreadPool {
     ThreadPool(const ThreadPool&) = delete;
     ThreadPool& operator=(const ThreadPool&) = delete;
 
-    std::size_t num_threads() const { return workers_.size() + 1; }
+    std::size_t num_threads() const { return n_threads_; }
 
     /// Trip counts below this run inline: a slab count this small cannot
-    /// amortize the worker wake-up (~ a few microseconds).
+    /// amortize the region's synchronization.
     static constexpr Index kMinParallelN = 4;
+
+    /// How long an idle thread spins before it parks. It should cover the
+    /// longest gaps between the regions of a model step, or workers park
+    /// and pay a futex wake-up on the next region. EXPERIMENTS.md
+    /// ("Spin-then-park thread pool") records the budget runs behind it.
+    static constexpr std::chrono::microseconds kSpinBudget{1000};
 
     /// Run `body(begin, end)` over chunked subranges of [0, n) in parallel
     /// and wait for completion. The calling thread participates. Small
@@ -114,33 +158,46 @@ class ThreadPool {
   private:
     using BodyFn = void (*)(void* ctx, Index begin, Index end);
 
-    /// One parallel_for invocation. Lives on the caller's stack; workers
-    /// only touch it between attach (under the pool mutex, while it is the
-    /// published region) and detach, and `run_region` does not return
-    /// until every attached worker has detached.
+    /// The published parallel_for. Written by the caller only while seq_
+    /// is even; read by workers only while attached to an open region.
     struct Region {
         BodyFn fn = nullptr;
         void* ctx = nullptr;
         Index n = 0;
-        Index chunk = 0;
+        Index chunk = 0;       ///< chunk length (the last may be shorter)
         Index n_chunks = 0;
-        std::atomic<Index> next{0};  ///< next unclaimed chunk id
-        std::atomic<Index> done{0};  ///< completed chunks
-        std::exception_ptr error;    ///< first failure; pool mutex guards
+        Index per_thread = 0;  ///< chunks per owner slab
     };
 
-    void run_region(Index n, BodyFn fn, void* ctx);
-    void work_on(Region& r);
-    void worker_loop();
+    /// Claimed-chunk count of one owner's slab, on its own cache line.
+    struct alignas(64) Claim {
+        std::atomic<Index> next{0};
+    };
 
-    std::vector<std::thread> workers_;
-    std::mutex mutex_;
+    /// Pause-spin rounds between yields (and spin-budget checks).
+    static constexpr unsigned kSpinsPerYield = 64;
+
+    void run_region(Index n, BodyFn fn, void* ctx);
+    void run_chunks(std::size_t self);
+    void worker_loop(std::size_t self);
+    template <class Ready>
+    void await(Ready ready, std::condition_variable& cv,
+               std::atomic<int>& parked);
+    void wake(std::condition_variable& cv, const std::atomic<int>& parked);
+
+    const std::size_t n_threads_;
+    Region region_;
+    std::unique_ptr<Claim[]> claims_;  ///< one per thread, reset per region
+    alignas(64) std::atomic<std::uint64_t> seq_{0};  ///< odd = region open
+    std::atomic<bool> stopping_{false};
+    alignas(64) std::atomic<int> active_{0};  ///< attached workers
+    std::atomic<int> parked_workers_{0};
+    std::atomic<int> parked_callers_{0};
+    std::mutex mutex_;  ///< guards the parking handshake and error_
     std::condition_variable cv_work_;
     std::condition_variable cv_done_;
-    Region* region_ = nullptr;   ///< currently published region (or null)
-    std::uint64_t epoch_ = 0;    ///< bumped per region; workers wake on change
-    std::size_t attached_ = 0;   ///< workers currently inside the region
-    bool stopping_ = false;
+    std::exception_ptr error_;  ///< first failure of the current region
+    std::vector<std::thread> workers_;
 };
 
 /// Shorthand for the global pool's parallel_for.
