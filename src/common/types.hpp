@@ -40,9 +40,4 @@ constexpr const char* name_of(Precision p) {
     return p == Precision::Single ? "single" : "double";
 }
 
-template <class T>
-constexpr Precision precision_of() {
-    return sizeof(T) == 4 ? Precision::Single : Precision::Double;
-}
-
 }  // namespace asuca

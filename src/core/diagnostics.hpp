@@ -10,8 +10,10 @@
 
 namespace asuca {
 
-/// Total (generalized-coordinate) mass:  sum rho * J * dx dy dzeta.
-/// Conserved exactly by the FVM flux form under periodic boundaries.
+/// Total (generalized-coordinate) mass:  sum rho * J * dx dy dzeta, in a
+/// fixed j-k-i order. Conserved exactly by the FVM flux form under
+/// periodic boundaries. Passed a density-weighted tracer rho*q, it gives
+/// that tracer's mass.
 template <class T>
 double total_mass(const Grid<T>& grid, const Array3<T>& rho) {
     double sum = 0.0;
@@ -110,12 +112,6 @@ bool state_is_finite(const State<T>& s) {
     for (const auto& q : s.tracers)
         if (!ok(q)) return false;
     return true;
-}
-
-/// Domain total of a density-weighted tracer [kg].
-template <class T>
-double total_tracer_mass(const Grid<T>& grid, const Array3<T>& rhoq) {
-    return total_mass(grid, rhoq);
 }
 
 }  // namespace asuca

@@ -49,8 +49,6 @@ class LateralRelaxation {
         frames_.push_back(Frame{time, std::move(target)});
     }
 
-    std::size_t frame_count() const { return frames_.size(); }
-
     /// Davies weight for the cell at (i, j) (0 outside the rim).
     double weight(Index i, Index j) const {
         const Index w = cfg_.zone_width;

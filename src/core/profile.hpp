@@ -69,7 +69,6 @@ class AtmosphereProfile {
     double rho_theta(double z) const { return rho(z) * theta(z); }
 
     double brunt_vaisala() const { return n_; }
-    double theta_surface() const { return theta0_; }
 
   private:
     AtmosphereProfile(double theta0, double n, double surface_p)

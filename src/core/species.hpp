@@ -35,6 +35,15 @@ constexpr std::string_view name_of(Species s) {
     return names[static_cast<std::size_t>(s)];
 }
 
+/// Kernel name of species s's advection: "advection_" + name_of(s), as a
+/// static string, so a kernel scope takes it without allocating.
+constexpr const char* advection_kernel_name(Species s) {
+    constexpr std::array<const char*, kNumSpecies> names = {
+        "advection_qv", "advection_qc", "advection_qr", "advection_qi",
+        "advection_qs", "advection_qg", "advection_qh"};
+    return names[static_cast<std::size_t>(s)];
+}
+
 /// Does this species sediment (has a terminal fall velocity u_t)?
 constexpr bool has_fall_speed(Species s) {
     switch (s) {

@@ -238,9 +238,8 @@ class TimeStepper {
             pgf_z_buoyancy(grid_, p_pert_, rho_pert_, slow.rhow);
         }
         for (std::size_t n = 0; n < bar.tracers.size(); ++n) {
-            KernelScope scope(
-                "advection_" + std::string(name_of(bar.species.at(n))),
-                {/*reads=*/6, /*writes=*/1, 36}, vol);
+            KernelScope scope(advection_kernel_name(bar.species.at(n)),
+                              {/*reads=*/6, /*writes=*/1, 36}, vol);
             advect_scalar(grid_, fluxes_, bar.rho, bar.tracers[n],
                           slow.tracers[n]);
         }

@@ -97,10 +97,6 @@ class Array3 {
         return out;
     }
 
-    bool same_shape(const Array3& other) const {
-        return extents_ == other.extents_ && halo_ == other.halo_;
-    }
-
   private:
     Int3 extents_{};
     Index halo_ = 0;

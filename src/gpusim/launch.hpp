@@ -33,7 +33,6 @@ struct LaunchConfig {
     std::size_t shared_bytes = 0;
 
     Index threads_per_block() const { return block.volume(); }
-    Index total_threads() const { return block.volume() * grid.volume(); }
 };
 
 inline Index div_up(Index a, Index b) { return (a + b - 1) / b; }

@@ -117,22 +117,12 @@ class Timeline {
     const TimelineTask& task(TaskId id) const {
         return tasks_[static_cast<std::size_t>(id)];
     }
-    std::size_t task_count() const { return tasks_.size(); }
 
     /// Total busy time of a resource (for breakdown plots).
     double resource_busy(ResourceId r) const {
         double busy = 0.0;
         for (const auto& t : tasks_) {
             if (t.resource == r) busy += t.duration;
-        }
-        return busy;
-    }
-
-    /// Sum of durations of all tasks whose name contains `substr`.
-    double busy_matching(const std::string& substr) const {
-        double busy = 0.0;
-        for (const auto& t : tasks_) {
-            if (t.name.find(substr) != std::string::npos) busy += t.duration;
         }
         return busy;
     }

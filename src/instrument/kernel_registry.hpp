@@ -11,9 +11,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/timer.hpp"
@@ -57,11 +59,17 @@ class KernelRegistry {
         return r;
     }
 
-    void record(const std::string& name, const KernelTraits& traits,
+    /// Add one call of kernel `name`. The name is copied into a string
+    /// only on the kernel's first record.
+    void record(const char* name, const KernelTraits& traits,
                 std::uint64_t elements, std::uint64_t flops, double seconds) {
         std::lock_guard lock(mutex_);
-        auto& rec = records_[name];
-        rec.name = name;
+        auto it = records_.find(name);
+        if (it == records_.end()) {
+            it = records_.emplace(name, KernelRecord{}).first;
+            it->second.name = it->first;
+        }
+        auto& rec = it->second;
         rec.traits = traits;
         rec.calls += 1;
         rec.elements += elements;
@@ -82,7 +90,7 @@ class KernelRegistry {
         return out;
     }
 
-    KernelRecord find(const std::string& name) const {
+    KernelRecord find(std::string_view name) const {
         std::lock_guard lock(mutex_);
         auto it = records_.find(name);
         return it == records_.end() ? KernelRecord{} : it->second;
@@ -95,29 +103,24 @@ class KernelRegistry {
         return total;
     }
 
-    double total_seconds() const {
-        std::lock_guard lock(mutex_);
-        double total = 0;
-        for (const auto& [_, rec] : records_) total += rec.seconds;
-        return total;
-    }
-
   private:
     mutable std::mutex mutex_;
-    std::map<std::string, KernelRecord> records_;
+    std::map<std::string, KernelRecord, std::less<>> records_;
 };
 
 /// RAII scope: times a kernel invocation and attributes the FLOPs counted
 /// while it was alive. Doubles as a trace span (category "kernel"), so
 /// an enabled TraceRecorder shows every kernel invocation on the
-/// timeline with the same name the registry aggregates under.
+/// timeline with the same name the registry aggregates under. `name`
+/// must outlive the scope (kernel names are string literals or static
+/// tables), so opening a scope allocates nothing.
 class KernelScope {
   public:
-    KernelScope(std::string name, KernelTraits traits, std::uint64_t elements,
+    KernelScope(const char* name, KernelTraits traits, std::uint64_t elements,
                 KernelRegistry* registry = &KernelRegistry::global())
-        : name_(std::move(name)), traits_(traits), elements_(elements),
+        : name_(name), traits_(traits), elements_(elements),
           registry_(registry), flops_begin_(FlopCounter::value()),
-          span_(name_.c_str(), "kernel") {
+          span_(name, "kernel") {
         timer_.start();
     }
 
@@ -134,7 +137,7 @@ class KernelScope {
     }
 
   private:
-    std::string name_;
+    const char* name_;
     KernelTraits traits_;
     std::uint64_t elements_;
     KernelRegistry* registry_;

@@ -108,13 +108,6 @@ class Histogram {
         return n > 0 ? sum() / static_cast<double>(n) : 0.0;
     }
 
-    std::vector<std::uint64_t> bucket_counts() const {
-        std::vector<std::uint64_t> out(kBuckets);
-        for (std::size_t b = 0; b < kBuckets; ++b)
-            out[b] = buckets_[b].load(std::memory_order_relaxed);
-        return out;
-    }
-
     void reset() {
         for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
         count_.store(0, std::memory_order_relaxed);

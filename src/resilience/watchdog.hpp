@@ -30,11 +30,11 @@
 #include <string>
 #include <vector>
 
+#include "src/core/diagnostics.hpp"
 #include "src/core/state.hpp"
 #include "src/grid/grid.hpp"
 #include "src/observability/metrics.hpp"
 #include "src/parallel/thread_pool.hpp"
-#include "src/verify/invariants.hpp"
 
 namespace asuca::resilience {
 
@@ -159,7 +159,7 @@ class Watchdog {
     /// Total mass of a rank's interior (sum rho * J dV), the quantity the
     /// mass-drift check tracks.
     static double total_mass(const Grid<T>& grid, const State<T>& state) {
-        return verify::detail::cell_integral(grid, state.rho);
+        return asuca::total_mass(grid, state.rho);
     }
 
   private:

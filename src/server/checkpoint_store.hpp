@@ -150,8 +150,6 @@ class DurableCheckpointStore final : public CheckpointStore {
 
     // --- introspection + fault-injection hooks (tests, chaos gates) ----
 
-    const DurableStoreConfig& store_config() const { return cfg_; }
-
     /// Newest on-disk epoch of `name`, or 0 when unknown.
     long long latest_epoch(const std::string& name) const {
         std::lock_guard lock(mutex_);

@@ -240,12 +240,6 @@ class ForecastHandle {
     /// True when this submission attached to an already-admitted entry
     /// (dedup) instead of scheduling its own execution.
     bool attached() const { return attached_; }
-
-    /// The spec that runs/ran — after canonicalization and degradation.
-    const ScenarioSpec& executed_spec() const {
-        ASUCA_REQUIRE(entry_ != nullptr, "empty forecast handle");
-        return entry_->spec;
-    }
     int degrade_level() const {
         ASUCA_REQUIRE(entry_ != nullptr, "empty forecast handle");
         return entry_->degrade_level;

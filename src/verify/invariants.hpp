@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/common/constants.hpp"
+#include "src/core/diagnostics.hpp"
 #include "src/core/state.hpp"
 #include "src/grid/grid.hpp"
 
@@ -40,29 +41,7 @@ struct InvariantSnapshot {
     double kinetic_energy = 0.0;    ///< 1/2 rho |u|^2 integral [J]
     double internal_energy = 0.0;   ///< p/(gamma-1) integral [J]
     double potential_energy = 0.0;  ///< rho g z integral [J]
-    double total_energy() const {
-        return kinetic_energy + internal_energy + potential_energy;
-    }
 };
-
-namespace detail {
-
-/// Integral of a cell-centered density-like field: sum f * J dx dy dzeta.
-template <class T>
-double cell_integral(const Grid<T>& grid, const Array3<T>& f) {
-    double sum = 0.0;
-    const auto& jc = grid.jacobian();
-    for (Index j = 0; j < grid.ny(); ++j)
-        for (Index k = 0; k < grid.nz(); ++k) {
-            const double cell = grid.dx() * grid.dy() * grid.dzeta(k);
-            for (Index i = 0; i < grid.nx(); ++i)
-                sum += static_cast<double>(f(i, j, k)) *
-                       static_cast<double>(jc(i, j, k)) * cell;
-        }
-    return sum;
-}
-
-}  // namespace detail
 
 /// Compute every invariant of `state`. Face-staggered momenta are summed
 /// over faces [0, n) on their axis — under a domain decomposition the
@@ -80,10 +59,10 @@ InvariantSnapshot compute_invariants(const Grid<T>& grid,
     const auto& jzf = grid.jacobian_zface();
     const auto& jc = grid.jacobian();
 
-    inv.total_mass = detail::cell_integral(grid, s.rho);
+    inv.total_mass = asuca::total_mass(grid, s.rho);
     inv.tracer_mass.reserve(s.tracers.size());
     for (const auto& q : s.tracers) {
-        inv.tracer_mass.push_back(detail::cell_integral(grid, q));
+        inv.tracer_mass.push_back(asuca::total_mass(grid, q));
         inv.water_mass += inv.tracer_mass.back();
     }
     inv.dry_mass = inv.total_mass - inv.water_mass;

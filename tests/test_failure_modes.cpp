@@ -64,7 +64,7 @@ TEST(FailureModes, TotalWaterBudgetClosesOverFullMoistCycle) {
     auto airborne_water = [&] {
         double sum = 0.0;
         for (const auto& q : m.state().tracers) {
-            sum += total_tracer_mass(m.grid(), q);
+            sum += total_mass(m.grid(), q);
         }
         return sum;
     };

@@ -159,11 +159,11 @@ void fill_rough(Array3<T>& a, double base, double amplitude, double phase) {
                                                    2.3 * double(k) + phase));
 }
 
-GridSpec long_step_spec(Index nx, Layout layout) {
+GridSpec long_step_spec(Index nx, Index nz, Layout layout) {
     GridSpec s;
     s.nx = nx;
     s.ny = 5;
-    s.nz = 8;
+    s.nz = nz;
     s.dx = 1000.0;
     s.dy = 1200.0;
     s.ztop = 8000.0;
@@ -173,7 +173,7 @@ GridSpec long_step_spec(Index nx, Layout layout) {
     return s;
 }
 
-/// A grid on nx x 5 x 8 cells with terrain and stretched levels, a state
+/// A grid on nx x 5 x nz cells with terrain and stretched levels, a state
 /// and mass fluxes of both signs on every padded cell.
 template <class T>
 struct LongStepSetup {
@@ -181,8 +181,8 @@ struct LongStepSetup {
     State<T> state;
     MassFluxes<T> flux;
 
-    LongStepSetup(Index nx, Layout layout)
-        : grid(long_step_spec(nx, layout)),
+    LongStepSetup(Index nx, Index nz, Layout layout)
+        : grid(long_step_spec(nx, nz, layout)),
           state(grid, SpeciesSet::dry()), flux(grid) {
         fill_rough(state.rho, 1.0, 0.1, 0.1);
         fill_rough(state.rhou, 2.0, 8.0, 0.2);
@@ -199,6 +199,10 @@ struct LongStepSetup {
 };
 
 constexpr Index kWidths[] = {1, 3, 13, 64};
+/// Levels of the advection and diffusion checks: nz = 2, the smallest
+/// mesh the grid accepts, clamps every vertical stencil at both ends and
+/// leaves advect_momentum_z a single interior face.
+constexpr Index kDepths[] = {2, 8};
 
 // ---------------------------------------------------------------------
 // Advection: the scalar stencil form of the four kernels' loops. The
@@ -376,10 +380,11 @@ void advect_momentum_z(const Grid<T>& grid, const MassFluxes<T>& flux,
 }  // namespace ref
 
 template <class T>
-void expect_advection_matches(Index nx, Layout layout) {
-    SCOPED_TRACE(testing::Message() << "nx " << nx << ", " << name_of(layout)
-                                    << ", " << sizeof(T) * 8 << "-bit");
-    LongStepSetup<T> s(nx, layout);
+void expect_advection_matches(Index nx, Index nz, Layout layout) {
+    SCOPED_TRACE(testing::Message() << "nx " << nx << ", nz " << nz << ", "
+                                    << name_of(layout) << ", "
+                                    << sizeof(T) * 8 << "-bit");
+    LongStepSetup<T> s(nx, nz, layout);
     const auto& st = s.state;
     auto check = [&](const Array3<T>& like, const char* name, auto&& kernel,
                      auto&& reference) {
@@ -421,10 +426,11 @@ void expect_advection_matches(Index nx, Layout layout) {
 
 TEST(LaneKernels, AdvectionMatchesScalarLoopBitwise) {
     for (const Layout layout : kLayouts)
-        for (const Index nx : kWidths) {
-            expect_advection_matches<double>(nx, layout);
-            expect_advection_matches<float>(nx, layout);
-        }
+        for (const Index nx : kWidths)
+            for (const Index nz : kDepths) {
+                expect_advection_matches<double>(nx, nz, layout);
+                expect_advection_matches<float>(nx, nz, layout);
+            }
 }
 
 // ---------------------------------------------------------------------
@@ -513,10 +519,11 @@ void diffusion_reference(const Grid<T>& grid, const State<T>& state,
 }
 
 template <class T>
-void expect_diffusion_matches(Index nx, Layout layout) {
-    SCOPED_TRACE(testing::Message() << "nx " << nx << ", " << name_of(layout)
-                                    << ", " << sizeof(T) * 8 << "-bit");
-    LongStepSetup<T> s(nx, layout);
+void expect_diffusion_matches(Index nx, Index nz, Layout layout) {
+    SCOPED_TRACE(testing::Message() << "nx " << nx << ", nz " << nz << ", "
+                                    << name_of(layout) << ", "
+                                    << sizeof(T) * 8 << "-bit");
+    LongStepSetup<T> s(nx, nz, layout);
     DiffusionConfig cfg;
     cfg.kh = 20.0;
     cfg.kv = 2.0;
@@ -536,10 +543,11 @@ void expect_diffusion_matches(Index nx, Layout layout) {
 
 TEST(LaneKernels, DiffusionMatchesScalarLoopBitwise) {
     for (const Layout layout : kLayouts)
-        for (const Index nx : kWidths) {
-            expect_diffusion_matches<double>(nx, layout);
-            expect_diffusion_matches<float>(nx, layout);
-        }
+        for (const Index nx : kWidths)
+            for (const Index nz : kDepths) {
+                expect_diffusion_matches<double>(nx, nz, layout);
+                expect_diffusion_matches<float>(nx, nz, layout);
+            }
 }
 
 // ---------------------------------------------------------------------
@@ -607,7 +615,7 @@ template <class T>
 void expect_mass_fluxes_match(Index nx, Layout layout) {
     SCOPED_TRACE(testing::Message() << "nx " << nx << ", " << name_of(layout)
                                     << ", " << sizeof(T) * 8 << "-bit");
-    LongStepSetup<T> s(nx, layout);
+    LongStepSetup<T> s(nx, 8, layout);
     // Fluxes over arrays that already hold values, so a cell the kernels
     // should not touch (or should zero) shows.
     MassFluxes<T> expected = s.flux;
@@ -640,7 +648,7 @@ template <class T>
 void expect_prepare_matches(Index nx, Layout layout) {
     SCOPED_TRACE(testing::Message() << "nx " << nx << ", " << name_of(layout)
                                     << ", " << sizeof(T) * 8 << "-bit");
-    LongStepSetup<T> s(nx, layout);
+    LongStepSetup<T> s(nx, 8, layout);
     AcousticStepper<T> stepper(s.grid, AcousticConfig{});
     // Reference arrays start as the stepper's do (zero), so the cells
     // prepare leaves alone compare too.
