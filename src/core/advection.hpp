@@ -76,8 +76,7 @@ struct PlaneRing {
     void fill(Layout layout, Index j, Phi phi) {
         for (Index k = 0; k < nk; ++k) {
             T* row = at(j, k);
-            for_each_lane_chunk<T>(layout, -2, pw - 2,
-                                   [row, phi, j, k](auto io, Index i) {
+            for_each_lane_chunk<T>(layout, -2, pw - 2, [&](auto io, Index i) {
                 io.store(row + i, phi(io, i, j, k));
             });
         }
@@ -88,10 +87,10 @@ struct PlaneRing {
 /// f = flux_at(io, i) is the face mass flux and phi_f the Koren face
 /// value of the stencil m2[i], m1[i] | face | p0[i], p1[i].
 template <class T, class FluxAt>
-void limited_flux_row(Layout layout, Index i0, Index i1, FluxAt flux_at,
+void limited_flux_row(Layout layout, Index i0, Index i1, FluxAt&& flux_at,
                       const T* m2, const T* m1, const T* p0, const T* p1,
                       T* out) {
-    for_each_lane_chunk<T>(layout, i0, i1, [=](auto io, Index i) {
+    for_each_lane_chunk<T>(layout, i0, i1, [&](auto io, Index i) {
         const auto f = flux_at(io, i);
         io.store(out + i, f * limited_face_value_lanes(f, io(m2 + i),
                                                        io(m1 + i), io(p0 + i),
@@ -173,8 +172,8 @@ void advect_cv(const Grid<T>& grid, Index planes, Index k0, Rdz rdz,
                 const T* zl = zf_lo.data();
                 const T* zh = zf_hi.data();
                 const T rdzk = rdz(k);
-                for_each_lane_chunk<T>(layout, 0, nx, [=, &jac, &tend](
-                                                          auto io, Index i) {
+                for_each_lane_chunk<T>(layout, 0, nx, [&, rdx, rdy, rdzk](auto io,
+                                                                      Index i) {
                     const auto div = (io(xr + i + 1) - io(xr + i)) * rdx +
                                      (io(yh + i) - io(yl + i)) * rdy +
                                      (io(zh + i) - io(zl + i)) * rdzk;
