@@ -111,7 +111,10 @@ void limited_flux_row(Layout layout, Index i0, Index i1, FluxAt&& flux_at,
 ///   fx, fy, fz(io, i, j, k)  the mass flux through those faces.
 /// Each face flux is the mass flux times the Koren face value of the
 /// 4-point stencil across the face; vertical stencils are clamped into
-/// [0, planes) and Z is zero at slices 0 and `planes`.
+/// [0, planes) and Z is zero at slices 0 and `planes`. The lane bodies
+/// reach the policies, row pointers and indices by reference and hold
+/// only per-row T scalars by value: capturing more by value made the
+/// kernels up to 23 % slower in interleaved timings (EXPERIMENTS.md).
 template <class T, class Rdz, class Phi, class Fx, class Fy, class Fz>
 void advect_cv(const Grid<T>& grid, Index planes, Index k0, Rdz rdz,
                const Array3<T>& jac, Phi phi, Fx fx, Fy fy, Fz fz,
